@@ -62,6 +62,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = report.load_config(args.config)
     spec = report.experiment_config_from_mapping(cfg, seed_override=args.seed)
     stride = REDUCED_STRIDE if args.preset == "reduced" else 1

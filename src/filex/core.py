@@ -8,7 +8,7 @@ mass and the unnormalized sum after ``k`` iterations is ``alpha + k``. After
 ``n`` iterations the weights are normalized and returned.
 
 Two distributionally identical samplers are provided: a reference path that
-draws each symbol by inverse CDF over an indexed prefix-sum tree, and a fast
+draws each symbol by inverse CDF over the cumulative weights, and a fast
 path that draws the per-iteration hit counts as a single multinomial vector.
 """
 
@@ -115,95 +115,6 @@ class Distribution:
         return self.probs.size
 
 
-class PrefixSumTree:
-    """Fenwick tree over positive weights.
-
-    Supports O(log s) point updates and O(log s) inverse-CDF draws: ``find``
-    locates the smallest index whose inclusive prefix sum exceeds a target, so
-    a uniform variate u maps to index i with probability weights[i] / total,
-    exactly as a linear scan over running prefix sums would.
-    """
-
-    __slots__ = ("_size", "_tree", "_total", "_topbit")
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise InvalidInputError("weights must be a non-empty 1-d array")
-        if not np.all(np.isfinite(w)) or not np.all(w > 0.0):
-            raise InvalidInputError("weights must all be positive and finite")
-        n = int(w.size)
-        self._size = n
-        tree = [0.0] * (n + 1)
-        tree[1:] = w.tolist()
-        for i in range(1, n + 1):
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self._tree = tree
-        self._total = float(w.sum())
-        self._topbit = 1 << (n.bit_length() - 1)
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    def add(self, index: int, delta: float) -> None:
-        if not 0 <= index < self._size:
-            raise InvalidInputError(f"index {index} out of range for size {self._size}")
-        tree = self._tree
-        i = index + 1
-        n = self._size
-        while i <= n:
-            tree[i] += delta
-            i += i & -i
-        self._total += delta
-
-    def prefix(self, count: int) -> float:
-        """Sum of the first ``count`` weights."""
-        if not 0 <= count <= self._size:
-            raise InvalidInputError(f"count {count} out of range for size {self._size}")
-        tree = self._tree
-        acc = 0.0
-        i = count
-        while i > 0:
-            acc += tree[i]
-            i -= i & -i
-        return acc
-
-    def find(self, target: float) -> int:
-        """Smallest index whose inclusive prefix sum exceeds ``target``."""
-        tree = self._tree
-        n = self._size
-        pos = 0
-        rem = target
-        bit = self._topbit
-        while bit:
-            nxt = pos + bit
-            if nxt <= n and tree[nxt] <= rem:
-                rem -= tree[nxt]
-                pos = nxt
-            bit >>= 1
-        # pos == size only when target >= total (u rounded up to 1.0 * total)
-        return min(pos, n - 1)
-
-    def sample(self, u: float) -> int:
-        """Map one uniform variate in [0, 1) to a drawn index."""
-        return self.find(u * self._total)
-
-
-def sample_categorical(weights, rng: RandomStream) -> int:
-    """Draw one index with probability proportional to its weight.
-
-    Consumes exactly one uniform variate and maps it through the inverse CDF
-    of the prefix sums.
-    """
-    return PrefixSumTree(weights).sample(rng.random())
-
-
 def init_weights(params: ProcessParams) -> WeightState:
     """Starting state: all ``s`` weights equal to ``alpha / s``."""
     per_symbol = params.alpha / params.s
@@ -212,21 +123,31 @@ def init_weights(params: ProcessParams) -> WeightState:
     return WeightState(np.full(params.s, per_symbol), 0)
 
 
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Map uniform variates in [0, 1) to indices drawn proportionally to weights.
+
+    Each variate picks the first index whose inclusive prefix sum exceeds
+    ``u * total``, exactly as a linear scan over the running sums would. The
+    clamp keeps the closed end u = 1 on the last index.
+    """
+    cdf = np.cumsum(weights)
+    idx = np.searchsorted(cdf, u * cdf[-1], side="right")
+    return np.minimum(idx, weights.size - 1)
+
+
 def _reference_iterate(weights: np.ndarray, beta: int, rng: RandomStream, sink: list | None = None) -> np.ndarray:
     """One iteration via per-draw inverse-CDF sampling from the frozen weights.
 
-    Building the tree from the iteration-start weights is the frozen copy: the
-    beta draws all see the same distribution, while increments accumulate in a
-    separate array.
+    All beta variates map through the prefix sums of the iteration-start
+    weights, so every draw sees the same distribution. ``np.add.at`` applies
+    the increments one at a time in draw order, the arithmetic of a per-draw
+    loop.
     """
-    tree = PrefixSumTree(weights)
+    idx = _inverse_cdf(weights, rng.random(beta))
     new = weights.copy()
-    inc = 1.0 / beta
-    for _ in range(beta):
-        i = tree.sample(rng.random())
-        new[i] += inc
-        if sink is not None:
-            sink.append(i)
+    np.add.at(new, idx, 1.0 / beta)
+    if sink is not None:
+        sink.extend(idx.tolist())
     return new
 
 

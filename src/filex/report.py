@@ -8,6 +8,7 @@ emitted as self-contained SVG 1.1 scatter charts.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -15,15 +16,10 @@ from xml.sax.saxutils import escape
 
 from .core import ProcessParams
 from .errors import ConfigError, CsvFormatError, InvalidInputError, UndefinedCorrelationError
-from .stats import CorrelationResult, PairedSeries, kendall_tau
-from .sweep import ExperimentSpec, RunRecord, SweepSpec, canonical_experiments
+from .stats import CorrelationResult
+from .sweep import ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, correlate, sweep_axis
 
 CSV_HEADER = "experiment,param_name,param_value,replicate,seed,entropy_bits"
-
-# Correlation/plot orientation per swept hyperparameter: alpha sweeps are
-# reported against 1/alpha, matching the sign convention of the canonical
-# correlation table.
-AXIS_LABELS = {"alpha": "1/alpha", "beta": "beta", "s": "S", "n": "N"}
 
 CANONICAL_NAMES = ("alpha", "beta", "s", "n")
 
@@ -143,7 +139,6 @@ _CUSTOM_SCHEMA = {
     "s": ("int", False),
     "n": ("int", False),
     "alpha_coupled_to_s": ("bool", False),
-    "correlate_inverse": ("bool", False),
     "replicates": ("int", False),
     "master_seed": ("int", False),
 }
@@ -161,7 +156,7 @@ def experiment_config_from_mapping(cfg: dict[str, str], seed_override: int | Non
             raise ConfigError("missing key: master_seed")
         spec = next(s for s in canonical_experiments(seed) if s.name == name)
         if "replicates" in values and values["replicates"] != spec.replicates:
-            spec = _with_replicates(spec, values["replicates"])
+            spec = dataclasses.replace(spec, replicates=values["replicates"])
         return spec
 
     values = _take(cfg, _CUSTOM_SCHEMA)
@@ -183,22 +178,11 @@ def experiment_config_from_mapping(cfg: dict[str, str], seed_override: int | Non
             s=fixed["s"],
             n=fixed["n"],
             alpha_coupled_to_s=values.get("alpha_coupled_to_s", False),
-            correlate_inverse=values.get("correlate_inverse", False),
             replicates=values.get("replicates", 1),
             master_seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _with_replicates(spec: ExperimentSpec, replicates: int) -> ExperimentSpec:
-    return ExperimentSpec(
-        name=spec.name, varied=spec.varied, sweep=spec.sweep,
-        alpha=spec.alpha, beta=spec.beta, s=spec.s, n=spec.n,
-        alpha_coupled_to_s=spec.alpha_coupled_to_s,
-        correlate_inverse=spec.correlate_inverse,
-        replicates=replicates, master_seed=spec.master_seed,
-    )
 
 
 # -- CSV persistence --------------------------------------------------------
@@ -272,20 +256,17 @@ def _group_rows(rows: Iterable[CsvRow]) -> dict[tuple[str, str], list[CsvRow]]:
 def correlation_table_from_rows(rows: Iterable[CsvRow]) -> list[tuple[str, str, CorrelationResult | str]]:
     """Per-experiment (name, axis label, correlation) from parsed CSV rows.
 
-    Alpha sweeps correlate against 1/alpha. A group whose correlation is
-    undefined yields a message string in place of the result.
+    Each group is correlated as :func:`filex.sweep.correlate` does it. A group
+    whose correlation is undefined yields a message string in place of the
+    result.
     """
     table: list[tuple[str, str, CorrelationResult | str]] = []
     for (experiment, param_name), group in _group_rows(rows).items():
-        invert = param_name == "alpha"
-        label = AXIS_LABELS.get(param_name, param_name)
-        xs = [1.0 / r.param_value if invert else r.param_value for r in group]
-        ys = [r.entropy_bits for r in group]
         try:
-            result: CorrelationResult | str = kendall_tau(PairedSeries(xs, ys))
+            result: CorrelationResult | str = correlate(param_name, group)
         except (UndefinedCorrelationError, InvalidInputError) as exc:
             result = f"undefined ({exc})"
-        table.append((experiment, label, result))
+        table.append((experiment, sweep_axis(param_name)[0], result))
     return table
 
 
@@ -434,19 +415,15 @@ def write_svg_scatter(path, spec: PlotSpec) -> None:
 
 
 def plot_spec_from_rows(rows: Sequence[CsvRow], y_max: float | None = None, title: str = "") -> PlotSpec:
-    """Plot input from CSV rows; alpha sweeps are plotted against 1/alpha.
+    """Plot input from CSV rows, with x as :func:`filex.sweep.sweep_axis` maps it.
 
     The y ceiling defaults to the smallest whole bit count covering the data
     (the CSV schema does not carry the lexicon size).
     """
     if not rows:
         raise InvalidInputError("plot requires at least one record")
-    param_name = rows[0].param_name
-    invert = param_name == "alpha"
-    points = [
-        (1.0 / r.param_value if invert else r.param_value, r.entropy_bits)
-        for r in rows
-    ]
+    label, to_x = sweep_axis(rows[0].param_name)
+    points = [(to_x(r.param_value), r.entropy_bits) for r in rows]
     if y_max is None:
         y_max = max(1.0, math.ceil(max(r.entropy_bits for r in rows) - 1e-9))
-    return PlotSpec(points=points, x_label=AXIS_LABELS.get(param_name, param_name), y_max=float(y_max), title=title)
+    return PlotSpec(points=points, x_label=label, y_max=float(y_max), title=title)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import ProcessParams, make_stream, run
 from .errors import InvalidParameterError
@@ -70,8 +70,8 @@ class ExperimentSpec:
     """One experiment: a swept hyperparameter, the fixed others, and seeding.
 
     The varied parameter's field must be None. ``alpha_coupled_to_s`` replaces
-    a fixed alpha with ``5e-3 * s`` at every point of an s sweep.
-    ``correlate_inverse`` reports correlation against 1/alpha for alpha sweeps.
+    a fixed alpha with ``5e-3 * s`` at every point of an s sweep. The name
+    becomes a CSV field, so it may not hold a comma or a line break.
     """
 
     name: str
@@ -82,11 +82,12 @@ class ExperimentSpec:
     s: int | None = None
     n: int | None = None
     alpha_coupled_to_s: bool = False
-    correlate_inverse: bool = False
     replicates: int = 1
     master_seed: int = 0
 
     def __post_init__(self):
+        if any(c in self.name for c in ",\n\r"):
+            raise InvalidParameterError(f"name must not contain a comma or a line break, got {self.name!r}")
         if self.varied not in VARIED_NAMES:
             raise InvalidParameterError(f"varied must be one of {VARIED_NAMES}, got {self.varied!r}")
         if getattr(self, self.varied) is not None:
@@ -96,8 +97,6 @@ class ExperimentSpec:
                 raise InvalidParameterError("alpha_coupled_to_s is only valid when varying s")
             if self.alpha is not None:
                 raise InvalidParameterError("alpha must be omitted when coupled to s")
-        if self.correlate_inverse and self.varied != "alpha":
-            raise InvalidParameterError("correlate_inverse is only valid when varying alpha")
         for field_name in VARIED_NAMES:
             if field_name == self.varied:
                 continue
@@ -109,6 +108,11 @@ class ExperimentSpec:
             raise InvalidParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if not 0 <= int(self.master_seed) < 2**64:
             raise InvalidParameterError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+
+    @property
+    def correlate_inverse(self) -> bool:
+        """Whether the sweep is correlated against 1/alpha, as every alpha sweep is."""
+        return self.varied == "alpha"
 
     def params_at(self, value) -> ProcessParams:
         """Process parameters for one sweep value of the varied hyperparameter."""
@@ -140,8 +144,7 @@ class RunRecord:
 def canonical_experiments(master_seed: int) -> list[ExperimentSpec]:
     """The four canonical experiments, one per hyperparameter.
 
-    (a) alpha from 1e-4 to 1e-1 over 200 points (beta=10, s=64, n=1000),
-        correlated against 1/alpha;
+    (a) alpha from 1e-4 to 1e-1 over 200 points (beta=10, s=64, n=1000);
     (b) beta from 2**3 to 2**15 over 600 integer points (alpha=1e-3, s=64,
         n=10000);
     (c) s from 2**3 to 2**8 over 400 integer points (beta=10, n=1000) with
@@ -152,7 +155,7 @@ def canonical_experiments(master_seed: int) -> list[ExperimentSpec]:
     return [
         ExperimentSpec(
             name="alpha", varied="alpha", sweep=SweepSpec(1e-4, 1e-1, 200),
-            beta=10, s=64, n=1000, correlate_inverse=True, master_seed=seed,
+            beta=10, s=64, n=1000, master_seed=seed,
         ),
         ExperimentSpec(
             name="beta", varied="beta", sweep=SweepSpec(2**3, 2**15, 600, integral=True),
@@ -243,22 +246,39 @@ def run_experiment(
     ]
 
 
-def correlation_series(spec: ExperimentSpec, records: Sequence[RunRecord]) -> PairedSeries:
-    """Paired (x, entropy) series for one experiment's records.
+# x axis per swept hyperparameter: (label, map from swept value to x). Alpha
+# sweeps use 1/alpha, the sign convention of the canonical correlation table.
+_AXES = {
+    "alpha": ("1/alpha", lambda v: 1.0 / v),
+    "beta": ("beta", float),
+    "s": ("S", float),
+    "n": ("N", float),
+}
 
-    x is the swept value, or its reciprocal when the experiment correlates
-    against 1/alpha.
-    """
-    xs = [1.0 / r.param_value if spec.correlate_inverse else r.param_value for r in records]
-    ys = [r.entropy_bits for r in records]
-    return PairedSeries(xs, ys)
+
+def sweep_axis(param_name: str) -> tuple[str, Callable[[float], float]]:
+    """Axis label and swept-value-to-x map for correlating and plotting a sweep."""
+    return _AXES.get(param_name, (param_name, float))
+
+
+def _series(param_name: str, records) -> PairedSeries:
+    # records: RunRecords or parsed CSV rows, both carrying param_value and entropy_bits
+    to_x = sweep_axis(param_name)[1]
+    return PairedSeries([to_x(r.param_value) for r in records], [r.entropy_bits for r in records])
+
+
+def correlation_series(spec: ExperimentSpec, records: Sequence[RunRecord]) -> PairedSeries:
+    """Paired (x, entropy) series for one experiment's records, x as :func:`sweep_axis` maps it."""
+    return _series(spec.varied, records)
+
+
+def correlate(param_name: str, records) -> CorrelationResult:
+    """Kendall tau-b between x and entropy over one sweep's RunRecords or CSV rows."""
+    return kendall_tau(_series(param_name, records))
 
 
 def correlation_table(
     experiments: Iterable[tuple[ExperimentSpec, Sequence[RunRecord]]],
 ) -> list[tuple[str, CorrelationResult]]:
     """Kendall correlation between the swept hyperparameter and entropy."""
-    return [
-        (spec.name, kendall_tau(correlation_series(spec, records)))
-        for spec, records in experiments
-    ]
+    return [(spec.name, correlate(spec.varied, records)) for spec, records in experiments]

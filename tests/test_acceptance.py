@@ -34,7 +34,14 @@ from filex.report import (
     render_correlation_table,
 )
 from filex.stats import PairedSeries, kendall_tau, shannon_entropy_bits
-from filex.sweep import SweepSpec, ExperimentSpec, canonical_experiments, log_sweep, run_experiment
+from filex.sweep import (
+    ExperimentSpec,
+    SweepSpec,
+    canonical_experiments,
+    correlation_series,
+    log_sweep,
+    run_experiment,
+)
 
 from conftest import MASTER_SEED, criterion_line
 from oracles import (
@@ -132,9 +139,7 @@ def test_criterion_1_reduced_preset(name, canonical_records, exact_entropy):
     # stride-4 records are exactly the reduced preset's output
     spec, records = canonical_records[name]
     reduced = records[:: 4 * spec.replicates]
-    xs = [1.0 / r.param_value if spec.correlate_inverse else r.param_value for r in reduced]
-    ys = [r.entropy_bits for r in reduced]
-    result = kendall_tau(PairedSeries(xs, ys))
+    result = kendall_tau(correlation_series(spec, reduced))
     target = TAU_TARGETS[name]
     ends = exact_grid_ends(name, exact_entropy)
     sign_ok = math.copysign(1, result.tau) == math.copysign(1, target)
@@ -354,7 +359,6 @@ def test_criterion_10_worker_determinism(tmp_path):
         beta=4,
         s=16,
         n=200,
-        correlate_inverse=True,
         replicates=2,
         master_seed=MASTER_SEED,
     )

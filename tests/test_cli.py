@@ -3,6 +3,16 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from filex.cli import main
+from filex.report import (
+    correlation_table_from_rows,
+    experiment_config_from_mapping,
+    load_config,
+    plot_spec_from_rows,
+    read_records_csv,
+    render_correlation_table,
+    render_svg_scatter,
+)
+from filex.sweep import correlation_series, correlation_table, run_experiment
 
 
 def write(path, text):
@@ -14,6 +24,10 @@ RUN_UNIFORM = "alpha = 1\nbeta = 1\ns = 4\nn = 0\nseed = 3\n"
 SWEEP_MINI = (
     "name = mini\nvaried = n\nlow = 2\nhigh = 40\nsteps = 10\nintegral = true\n"
     "alpha = 0.5\nbeta = 2\ns = 8\nmaster_seed = 21\n"
+)
+SWEEP_ALPHA = (
+    "name = a\nvaried = alpha\nlow = 1e-3\nhigh = 0.1\nsteps = 40\n"
+    "beta = 2\ns = 8\nn = 20\nmaster_seed = 3\n"
 )
 
 
@@ -91,6 +105,25 @@ class TestCmdSweep:
         cfg = write(tmp_path / "exp.cfg", "name = broken\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_zero_workers_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "exp.cfg", SWEEP_MINI)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "0"]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_comma_in_name_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "exp.cfg", SWEEP_MINI.replace("name = mini", "name = a,b"))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "name" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_correlate_inverse_key_unknown(self, tmp_path, capsys):
+        cfg = write(tmp_path / "exp.cfg", SWEEP_ALPHA + "correlate_inverse = false\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown key: correlate_inverse" in capsys.readouterr().err
+
 
 class TestCmdTable:
     def test_table_from_sweep_csv(self, tmp_path, capsys):
@@ -132,6 +165,25 @@ class TestCmdTable:
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["table", str(tmp_path / "missing.csv")]) == 1
+
+
+def test_alpha_sweep_api_and_cli_agree(tmp_path, capsys):
+    """One custom alpha sweep: the API table, ``filex table`` and ``filex plot`` all use 1/alpha."""
+    cfg = write(tmp_path / "exp.cfg", SWEEP_ALPHA)
+    csv, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+    assert main(["sweep", "--config", cfg, "--out", str(csv)]) == 0
+    spec = experiment_config_from_mapping(load_config(cfg))
+    records = run_experiment(spec)
+    [(name, result)] = correlation_table([(spec, records)])
+    assert result.tau < 0  # entropy rises with alpha, so it falls with 1/alpha
+    assert correlation_table_from_rows(read_records_csv(csv)) == [(name, "1/alpha", result)]
+    capsys.readouterr()
+    assert main(["table", str(csv)]) == 0
+    assert capsys.readouterr().out == render_correlation_table([(name, "1/alpha", result)])
+    assert main(["plot", str(csv), "--out", str(svg)]) == 0
+    plot = plot_spec_from_rows(read_records_csv(csv))
+    assert [x for x, _ in plot.points] == correlation_series(spec, records).x.tolist()
+    assert svg.read_text() == render_svg_scatter(plot)
 
 
 class TestCmdPlot:

@@ -5,23 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from filex.core import (
     Distribution,
-    PrefixSumTree,
     ProcessParams,
     WeightState,
+    _inverse_cdf,
     init_weights,
     make_stream,
     run,
     run_traced,
-    sample_categorical,
     step,
     step_fast,
 )
 from filex.errors import InvalidInputError, InvalidParameterError
+from filex.stats import shannon_entropy_bits
 
-from oracles import chi2_gof_pvalue, enumerate_outcome_distribution, recover_hit_counts
+from oracles import chi2_gof_pvalue, enumerate_outcome_distribution, expected_entropy_bits, recover_hit_counts
 
 
 def linear_scan_sample(weights, u):
@@ -89,66 +90,35 @@ class TestDistributionAndState:
             WeightState(np.array([1.0, 0.0]), 0)
 
 
-class TestPrefixSumTree:
-    def test_prefix_matches_cumsum(self):
-        rng = np.random.default_rng(5)
-        w = rng.random(37) + 1e-3
-        tree = PrefixSumTree(w)
-        cs = np.cumsum(w)
-        for i in range(1, 38):
-            assert tree.prefix(i) == pytest.approx(cs[i - 1], rel=1e-12)
-        assert tree.total == pytest.approx(float(w.sum()), rel=1e-12)
+class TestSampleCategorical:
+    """The reference sampler's inverse-CDF primitive."""
 
-    def test_find_matches_linear_scan(self):
+    def test_matches_linear_scan(self):
         rng = np.random.default_rng(6)
         for size in (1, 2, 3, 7, 64, 100):
-            w = (rng.random(size) + 1e-6).tolist()
-            tree = PrefixSumTree(w)
-            for u in np.linspace(0.0, 0.999999, 301):
-                assert tree.sample(u) == linear_scan_sample(w, u)
-            for u in rng.random(300):
-                assert tree.sample(u) == linear_scan_sample(w, u)
-
-    def test_add_updates(self):
-        tree = PrefixSumTree([1.0, 2.0, 3.0])
-        tree.add(1, 4.0)
-        assert tree.prefix(2) == 7.0
-        assert tree.total == 10.0
+            w = rng.random(size) + 1e-6
+            for u in (np.linspace(0.0, 0.999999, 301), rng.random(300)):
+                assert _inverse_cdf(w, u).tolist() == [linear_scan_sample(w.tolist(), x) for x in u]
 
     def test_u_close_to_one_clamped(self):
-        tree = PrefixSumTree([1.0, 1.0])
-        assert tree.find(tree.total) == 1
+        # For u < 1, u * total rounds below the total; u = 1, the closed end,
+        # lands on it and must still give the last index.
+        w = np.array([1.0, 1.0, 1.0])
+        u = np.array([np.nextafter(1.0, 0.0), 1.0])
+        total = np.cumsum(w)[-1]
+        assert u[0] * total < total == u[1] * total
+        assert _inverse_cdf(w, u).tolist() == [2, 2]
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidInputError):
-            PrefixSumTree([])
-        with pytest.raises(InvalidInputError):
-            PrefixSumTree([1.0, -1.0])
-
-
-class TestSampleCategorical:
     def test_single_category(self):
-        rng = make_stream(0)
-        assert all(sample_categorical([5.0], rng) == 0 for _ in range(50))
+        assert _inverse_cdf(np.array([5.0]), make_stream(0).random(50)).tolist() == [0] * 50
 
     def test_uniform_pair_frequency(self):
-        rng = make_stream(1)
-        tree = PrefixSumTree([1.0, 1.0])
-        hits = sum(tree.sample(rng.random()) == 0 for _ in range(100_000))
+        hits = np.count_nonzero(_inverse_cdf(np.array([1.0, 1.0]), make_stream(1).random(100_000)) == 0)
         assert hits / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_three_to_one_frequency(self):
-        rng = make_stream(2)
-        tree = PrefixSumTree([3.0, 1.0])
-        hits = sum(tree.sample(rng.random()) == 0 for _ in range(100_000))
+        hits = np.count_nonzero(_inverse_cdf(np.array([3.0, 1.0]), make_stream(2).random(100_000)) == 0)
         assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
-
-    def test_invalid_inputs(self):
-        rng = make_stream(3)
-        with pytest.raises(InvalidInputError):
-            sample_categorical([], rng)
-        with pytest.raises(InvalidInputError):
-            sample_categorical([1.0, 0.0], rng)
 
 
 class TestStep:
@@ -301,6 +271,25 @@ class TestRun:
         assert chi2_gof_pvalue(observed, expected, trials) > 0.01
 
 
+# Sweep-size points beyond exact enumeration: (alpha, beta, s, n).
+SWEEP_SIZE_POINTS = [(1.0, 5, 64, 200), (0.01, 10, 64, 500), (0.32, 1, 64, 1000)]
+SWEEP_SIZE_REPLICATES = 120
+# Two-sided false-alarm rate of each mean-entropy check.
+SWEEP_SIZE_ALPHA = 1e-4
+
+
+@pytest.mark.parametrize("mode", ["reference", "fast"])
+@pytest.mark.parametrize("alpha,beta,s,n", SWEEP_SIZE_POINTS)
+def test_mean_entropy_matches_exact_at_sweep_sizes(mode, alpha, beta, s, n):
+    """Replicate-mean entropy lies within t(1 - a/2, k - 1) * SD / sqrt(k) of the exact E[H]."""
+    params = ProcessParams(alpha, beta, s, n)
+    k = SWEEP_SIZE_REPLICATES
+    h = np.array([shannon_entropy_bits(run(params, make_stream(10_000 * n + r), mode)) for r in range(k)])
+    bound = scipy_stats.t.ppf(1 - SWEEP_SIZE_ALPHA / 2, k - 1) * h.std(ddof=1) / math.sqrt(k)
+    exact = expected_entropy_bits(alpha, beta, s, n)
+    assert abs(h.mean() - exact) <= bound, f"mean {h.mean():.4f} vs exact {exact:.4f} (bound {bound:.4f})"
+
+
 class TestScaleEquivalence:
     @pytest.mark.parametrize("c", [1e-3, 7.0, 1e4])
     def test_traces_and_distributions_bit_identical(self, c):
@@ -325,13 +314,11 @@ class TestScaleEquivalence:
         w_b = np.full(s, c * alpha / s)
         inc_a, inc_b = 1.0 / beta, c / beta
         for _ in range(n):
-            tree_a, tree_b = PrefixSumTree(w_a), PrefixSumTree(w_b)
-            for _ in range(beta):
-                i_a = tree_a.sample(rng_a.random())
-                i_b = tree_b.sample(rng_b.random())
-                assert i_a == i_b
-                w_a[i_a] += inc_a
-                w_b[i_b] += inc_b
+            i_a = _inverse_cdf(w_a, rng_a.random(beta))
+            i_b = _inverse_cdf(w_b, rng_b.random(beta))
+            assert i_a.tolist() == i_b.tolist()
+            np.add.at(w_a, i_a, inc_a)
+            np.add.at(w_b, i_b, inc_b)
         pa = w_a / w_a.sum()
         pb = w_b / w_b.sum()
         np.testing.assert_allclose(pb, pa, rtol=1e-12)

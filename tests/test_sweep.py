@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from filex.core import ProcessParams, make_stream, run
 from filex.errors import InvalidParameterError, UndefinedCorrelationError
-from filex.stats import shannon_entropy_bits
+from filex.stats import PairedSeries, kendall_tau, shannon_entropy_bits
 from filex.sweep import (
     ALPHA_PER_SYMBOL_COUPLING,
     ExperimentSpec,
@@ -91,10 +91,11 @@ class TestExperimentSpec:
             ExperimentSpec(name="x", varied="beta", sweep=SweepSpec(1, 8, 4, integral=True),
                            alpha=1.0, s=4, n=10, alpha_coupled_to_s=True)
 
-    def test_inverse_only_when_varying_alpha(self):
-        with pytest.raises(InvalidParameterError):
-            ExperimentSpec(name="x", varied="n", sweep=SweepSpec(1, 8, 4, integral=True),
-                           alpha=1.0, beta=2, s=4, correlate_inverse=True)
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb"])  # a comma: test_cli
+    def test_name_must_fit_a_csv_field(self, name):
+        with pytest.raises(InvalidParameterError, match="name"):
+            ExperimentSpec(name=name, varied="n", sweep=SweepSpec(1, 8, 4, integral=True),
+                           alpha=1.0, beta=2, s=4)
 
     def test_params_at_applies_coupling(self):
         spec = ExperimentSpec(name="s", varied="s", sweep=SweepSpec(8, 256, 10, integral=True),
@@ -224,14 +225,11 @@ class TestCorrelationTable:
         rng = np.random.default_rng(4)
         alphas = np.exp(rng.normal(size=40))
         entropies = rng.random(40) * 6
-        plain = ExperimentSpec(name="a", varied="alpha", sweep=SweepSpec(1e-4, 1e-1, 40),
-                               beta=2, s=4, n=5, master_seed=0)
-        inverse = ExperimentSpec(name="a", varied="alpha", sweep=SweepSpec(1e-4, 1e-1, 40),
-                                 beta=2, s=4, n=5, correlate_inverse=True, master_seed=0)
+        spec = ExperimentSpec(name="a", varied="alpha", sweep=SweepSpec(1e-4, 1e-1, 40),
+                              beta=2, s=4, n=5, master_seed=0)
         records = [RunRecord("a", float(a), 0, 0, float(h)) for a, h in zip(alphas, entropies)]
-        tau_plain = correlation_table([(plain, records)])[0][1].tau
-        tau_inverse = correlation_table([(inverse, records)])[0][1].tau
-        assert tau_inverse == -tau_plain
+        tau_inverse = correlation_table([(spec, records)])[0][1].tau
+        assert tau_inverse == -kendall_tau(PairedSeries(alphas, entropies)).tau
 
     def test_constant_entropy_undefined(self):
         spec = tiny_spec()
@@ -241,7 +239,7 @@ class TestCorrelationTable:
 
     def test_correlation_series_inverts_x(self):
         spec = ExperimentSpec(name="a", varied="alpha", sweep=SweepSpec(0.1, 10.0, 3),
-                              beta=2, s=4, n=5, correlate_inverse=True, master_seed=0)
+                              beta=2, s=4, n=5, master_seed=0)
         records = [RunRecord("a", 4.0, 0, 0, 1.0), RunRecord("a", 2.0, 0, 0, 2.0)]
         series = correlation_series(spec, records)
         assert series.x.tolist() == [0.25, 0.5]
