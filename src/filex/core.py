@@ -28,22 +28,31 @@ RandomStream = np.random.Generator
 _MAX_SEED = 2**64
 
 
-def make_stream(seed: int) -> RandomStream:
-    """Create the package's deterministic random stream from a 64-bit seed."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < _MAX_SEED:
-        raise InvalidParameterError(f"seed must be in [0, 2**64), got {seed}")
-    return np.random.default_rng(int(seed))
-
-
-def _check_count(name: str, value, minimum: int) -> int:
+def _check_count(name: str, value, minimum: int, limit: int | None = None) -> int:
+    """``value`` as an int in [minimum, limit); bools and non-integers are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
+    if limit is not None and value >= limit:
+        raise InvalidParameterError(f"{name} must be < {limit}, got {value}")
     return value
+
+
+def _check_positive(name: str, value) -> float:
+    """``value`` as a positive finite float; bools and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidParameterError(f"{name} must be a positive real, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def make_stream(seed: int) -> RandomStream:
+    """Create the package's deterministic random stream from a 64-bit seed."""
+    return np.random.default_rng(_check_count("seed", seed, 0, _MAX_SEED))
 
 
 @dataclass(frozen=True)
@@ -62,16 +71,12 @@ class ProcessParams:
     n: int
 
     def __post_init__(self):
-        alpha = self.alpha
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float, np.floating, np.integer)):
-            raise InvalidParameterError(f"alpha must be a positive real, got {alpha!r}")
-        alpha = float(alpha)
-        if not math.isfinite(alpha) or alpha <= 0.0:
-            raise InvalidParameterError(f"alpha must be positive and finite, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _check_positive("alpha", self.alpha))
         object.__setattr__(self, "beta", _check_count("beta", self.beta, 1))
         object.__setattr__(self, "s", _check_count("s", self.s, 1))
         object.__setattr__(self, "n", _check_count("n", self.n, 0))
+        if self.alpha / self.s == 0.0:
+            raise InvalidParameterError(f"alpha/s underflows to zero (alpha={self.alpha}, s={self.s})")
 
 
 @dataclass(frozen=True)
@@ -117,10 +122,7 @@ class Distribution:
 
 def init_weights(params: ProcessParams) -> WeightState:
     """Starting state: all ``s`` weights equal to ``alpha / s``."""
-    per_symbol = params.alpha / params.s
-    if per_symbol <= 0.0:  # underflow guard for absurdly small alpha
-        raise InvalidParameterError(f"alpha/s underflows to zero (alpha={params.alpha}, s={params.s})")
-    return WeightState(np.full(params.s, per_symbol), 0)
+    return WeightState(np.full(params.s, params.alpha / params.s), 0)
 
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -191,7 +193,7 @@ def run(params: ProcessParams, rng: RandomStream, mode: str = "fast") -> Distrib
     """
     if mode not in ("reference", "fast"):
         raise InvalidParameterError(f"mode must be 'reference' or 'fast', got {mode!r}")
-    w = init_weights(params).weights
+    w = np.full(params.s, params.alpha / params.s)
     if mode == "fast":
         for _ in range(params.n):
             w = _fast_iterate(w, params.beta, rng)
@@ -221,11 +223,9 @@ def run_traced(params: ProcessParams, rng: RandomStream, increment_scale: float 
     in the returned state's weights. This makes the invariance exact: equal
     seeds give bit-identical traces and distributions for any scale.
     """
-    scale = float(increment_scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise InvalidParameterError(f"increment_scale must be positive and finite, got {increment_scale!r}")
+    scale = _check_positive("increment_scale", increment_scale)
     sink: list[int] = []
-    w = init_weights(params).weights
+    w = np.full(params.s, params.alpha / params.s)
     for _ in range(params.n):
         w = _reference_iterate(w, params.beta, rng, sink)
     dist = _normalize(w)

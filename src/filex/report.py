@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 from xml.sax.saxutils import escape
 
-from .core import ProcessParams
+from .core import ProcessParams, _check_positive
 from .errors import ConfigError, CsvFormatError, InvalidInputError, UndefinedCorrelationError
 from .stats import CorrelationResult
 from .sweep import ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, correlate, sweep_axis
@@ -146,37 +146,27 @@ _CUSTOM_SCHEMA = {
 
 def experiment_config_from_mapping(cfg: dict[str, str], seed_override: int | None = None) -> ExperimentSpec:
     """Build an ExperimentSpec from a canonical-name or explicit config."""
-    if "experiment" in cfg:
-        values = _take(cfg, _CANONICAL_SCHEMA)
-        name = values["experiment"]
-        if name not in CANONICAL_NAMES:
-            raise ConfigError(f"invalid value for experiment: {name!r} (expected one of {', '.join(CANONICAL_NAMES)})")
-        seed = seed_override if seed_override is not None else values.get("master_seed")
-        if seed is None:
-            raise ConfigError("missing key: master_seed")
-        spec = next(s for s in canonical_experiments(seed) if s.name == name)
-        if "replicates" in values and values["replicates"] != spec.replicates:
-            spec = dataclasses.replace(spec, replicates=values["replicates"])
-        return spec
-
-    values = _take(cfg, _CUSTOM_SCHEMA)
+    canonical = "experiment" in cfg
+    values = _take(cfg, _CANONICAL_SCHEMA if canonical else _CUSTOM_SCHEMA)
+    if canonical and values["experiment"] not in CANONICAL_NAMES:
+        raise ConfigError(
+            f"invalid value for experiment: {values['experiment']!r} (expected one of {', '.join(CANONICAL_NAMES)})"
+        )
     seed = seed_override if seed_override is not None else values.get("master_seed")
     if seed is None:
         raise ConfigError("missing key: master_seed")
-    varied = values["varied"]
-    fixed = {k: values.get(k) for k in ("alpha", "beta", "s", "n")}
-    if fixed.get(varied) is not None:
-        raise ConfigError(f"varied parameter {varied!r} must not also be given a fixed value")
     try:
-        sweep = SweepSpec(values["low"], values["high"], values["steps"], values.get("integral", False))
+        if canonical:
+            spec = next(s for s in canonical_experiments(seed) if s.name == values["experiment"])
+            return dataclasses.replace(spec, replicates=values.get("replicates", spec.replicates))
         return ExperimentSpec(
             name=values["name"],
-            varied=varied,
-            sweep=sweep,
-            alpha=fixed["alpha"],
-            beta=fixed["beta"],
-            s=fixed["s"],
-            n=fixed["n"],
+            varied=values["varied"],
+            sweep=SweepSpec(values["low"], values["high"], values["steps"], values.get("integral", False)),
+            alpha=values.get("alpha"),
+            beta=values.get("beta"),
+            s=values.get("s"),
+            n=values.get("n"),
             alpha_coupled_to_s=values.get("alpha_coupled_to_s", False),
             replicates=values.get("replicates", 1),
             master_seed=seed,
@@ -231,11 +221,15 @@ def parse_records_csv(text: str) -> list[CsvRow]:
             raise CsvFormatError(lineno, f"expected 6 fields, got {len(parts)}")
         experiment, param_name, param_value, replicate, seed, entropy = parts
         try:
-            rows.append(
-                CsvRow(experiment, param_name, float(param_value), int(replicate), int(seed), float(entropy))
+            row = CsvRow(
+                experiment, param_name, _check_positive("param_value", float(param_value)),
+                int(replicate), int(seed), float(entropy),
             )
         except ValueError as exc:
             raise CsvFormatError(lineno, str(exc)) from None
+        if not (math.isfinite(row.entropy_bits) and row.entropy_bits >= 0.0):
+            raise CsvFormatError(lineno, f"entropy_bits must be finite and >= 0, got {entropy}")
+        rows.append(row)
     return rows
 
 
@@ -285,36 +279,33 @@ def render_correlation_table(table: Sequence[tuple[str, str, CorrelationResult |
 
 # -- SVG scatter plots ------------------------------------------------------
 
+_WIDTH = 640
+_HEIGHT = 440
+_MARKER_COLOR = "#e66100"
+
+
 @dataclass(frozen=True)
 class PlotSpec:
-    """Scatter plot of entropy against a swept hyperparameter."""
+    """Scatter plot of entropy against a swept hyperparameter on a log x axis."""
 
     points: Sequence[tuple[float, float]]
     x_label: str
-    log_x: bool = True
     y_max: float = 6.0
-    width: int = 640
-    height: int = 440
-    marker_color: str = "#e66100"
-    title: str = ""
 
     def __post_init__(self):
         if len(self.points) == 0:
             raise InvalidInputError("plot requires at least one record")
         if self.y_max <= 0.0:
             raise InvalidInputError(f"y_max must be positive, got {self.y_max}")
-        if self.log_x and any(x <= 0.0 for x, _ in self.points):
-            raise InvalidInputError("log-x plot requires positive x values")
+        if not all(math.isfinite(x) and x > 0.0 for x, _ in self.points):
+            raise InvalidInputError("log-x plot requires positive finite x values")
 
 
-def _x_ticks(lo: float, hi: float, log_x: bool) -> list[float]:
-    if log_x:
-        first = math.ceil(math.log10(lo) - 1e-9)
-        last = math.floor(math.log10(hi) + 1e-9)
-        ticks = [10.0 ** e for e in range(first, last + 1)]
-        return ticks or [lo, hi]
-    span = hi - lo
-    return [lo + span * i / 4 for i in range(5)] if span > 0 else [lo]
+def _x_ticks(lo: float, hi: float) -> list[float]:
+    first = math.ceil(math.log10(lo) - 1e-9)
+    last = math.floor(math.log10(hi) + 1e-9)
+    ticks = [10.0 ** e for e in range(first, last + 1)]
+    return ticks or [lo, hi]
 
 
 def _tick_text(value: float) -> str:
@@ -327,23 +318,17 @@ def _tick_text(value: float) -> str:
 def render_svg_scatter(spec: PlotSpec) -> str:
     """Self-contained SVG text: axes, gridlines, one circle per record."""
     left, right, top, bottom = 62.0, 16.0, 30.0, 46.0
-    plot_w = spec.width - left - right
-    plot_h = spec.height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
 
     xs = [p[0] for p in spec.points]
     lo, hi = min(xs), max(xs)
-    if spec.log_x:
-        llo, lhi = math.log10(lo), math.log10(hi)
-        if lhi - llo < 1e-12:
-            llo, lhi = llo - 0.5, lhi + 0.5
-        to_fx = lambda v: (math.log10(v) - llo) / (lhi - llo)
-    else:
-        if hi - lo < 1e-12:
-            lo, hi = lo - 0.5, hi + 0.5
-        to_fx = lambda v: (v - lo) / (hi - lo)
+    llo, lhi = math.log10(lo), math.log10(hi)
+    if lhi - llo < 1e-12:
+        llo, lhi = llo - 0.5, lhi + 0.5
 
     def px(v: float) -> float:
-        return left + to_fx(v) * plot_w
+        return left + (math.log10(v) - llo) / (lhi - llo) * plot_w
 
     def py(v: float) -> float:
         return top + (1.0 - v / spec.y_max) * plot_h
@@ -352,15 +337,10 @@ def render_svg_scatter(spec: PlotSpec) -> str:
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">'
+        f'width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>')
-    if spec.title:
-        out.append(
-            f'<text x="{spec.width / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(spec.title)}</text>'
-        )
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
 
     y_step = 1.0 if spec.y_max <= 12 else math.ceil(spec.y_max / 10)
     tick = 0.0
@@ -375,7 +355,7 @@ def render_svg_scatter(spec: PlotSpec) -> str:
             f'font-family="sans-serif" font-size="11">{_tick_text(tick)}</text>'
         )
         tick += y_step
-    for tv in _x_ticks(lo, hi, spec.log_x):
+    for tv in _x_ticks(lo, hi):
         x = px(tv)
         out.append(
             f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{top + plot_h:.2f}" '
@@ -394,10 +374,10 @@ def render_svg_scatter(spec: PlotSpec) -> str:
         y_clamped = min(max(y_val, 0.0), spec.y_max)
         out.append(
             f'<circle cx="{px(x_val):.2f}" cy="{py(y_clamped):.2f}" r="2.5" '
-            f'fill="{spec.marker_color}" fill-opacity="0.75"/>'
+            f'fill="{_MARKER_COLOR}" fill-opacity="0.75"/>'
         )
     out.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{spec.height - 10:.2f}" text-anchor="middle" '
+        f'<text x="{left + plot_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{escape(spec.x_label)}</text>'
     )
     out.append(
@@ -414,16 +394,15 @@ def write_svg_scatter(path, spec: PlotSpec) -> None:
         fh.write(render_svg_scatter(spec))
 
 
-def plot_spec_from_rows(rows: Sequence[CsvRow], y_max: float | None = None, title: str = "") -> PlotSpec:
+def plot_spec_from_rows(rows: Sequence[CsvRow]) -> PlotSpec:
     """Plot input from CSV rows, with x as :func:`filex.sweep.sweep_axis` maps it.
 
-    The y ceiling defaults to the smallest whole bit count covering the data
-    (the CSV schema does not carry the lexicon size).
+    The y ceiling is the smallest whole bit count covering the data (the CSV
+    schema does not carry the lexicon size).
     """
     if not rows:
         raise InvalidInputError("plot requires at least one record")
     label, to_x = sweep_axis(rows[0].param_name)
     points = [(to_x(r.param_value), r.entropy_bits) for r in rows]
-    if y_max is None:
-        y_max = max(1.0, math.ceil(max(r.entropy_bits for r in rows) - 1e-9))
-    return PlotSpec(points=points, x_label=label, y_max=float(y_max), title=title)
+    y_max = max(1.0, math.ceil(max(r.entropy_bits for r in rows) - 1e-9))
+    return PlotSpec(points=points, x_label=label, y_max=float(y_max))

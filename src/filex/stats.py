@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Distribution
 from .errors import InvalidInputError, UndefinedCorrelationError
 
 _SUM_TOLERANCE = 1e-9
@@ -58,18 +59,22 @@ class CorrelationResult:
 def shannon_entropy_bits(dist) -> float:
     """Shannon entropy, in bits, of a normalized distribution.
 
-    Accepts a :class:`~filex.core.Distribution` or any array of probabilities
-    summing to 1 within 1e-9. Zero entries contribute nothing; the result lies
-    in [0, log2(len)].
+    Accepts a :class:`~filex.core.Distribution`, whose constructor has checked
+    it, or any array of probabilities summing to 1 within 1e-9, which is
+    checked here. Zero entries contribute nothing; the result lies in
+    [0, log2(len)].
     """
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=np.float64)
-    if probs.ndim != 1 or probs.size == 0:
-        raise InvalidInputError("distribution must be a non-empty 1-d array")
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-        raise InvalidInputError("probabilities must be finite and non-negative")
-    total = float(probs.sum())
-    if abs(total - 1.0) > _SUM_TOLERANCE:
-        raise InvalidInputError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOLERANCE}")
+    if isinstance(dist, Distribution):
+        probs = dist.probs
+    else:
+        probs = np.asarray(dist, dtype=np.float64)
+        if probs.ndim != 1 or probs.size == 0:
+            raise InvalidInputError("distribution must be a non-empty 1-d array")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+            raise InvalidInputError("probabilities must be finite and non-negative")
+        total = float(probs.sum())
+        if abs(total - 1.0) > _SUM_TOLERANCE:
+            raise InvalidInputError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOLERANCE}")
     positive = probs[probs > 0.0]
     h = float(-(positive * np.log2(positive)).sum())
     # A probability can sit one ulp above 1 after normalization; clamp the
@@ -106,34 +111,13 @@ def _count_inversions(values: list[float]) -> int:
     return count
 
 
-def _tie_group_sizes(sorted_values: np.ndarray) -> list[int]:
-    sizes = []
-    run = 1
-    for i in range(1, sorted_values.size):
-        if sorted_values[i] == sorted_values[i - 1]:
-            run += 1
-        else:
-            if run > 1:
-                sizes.append(run)
-            run = 1
-    if run > 1:
-        sizes.append(run)
-    return sizes
+def _tie_sizes(same: np.ndarray) -> list[int]:
+    """Sizes of the groups of two or more equal neighbours in a sorted series.
 
-
-def _joint_tie_sizes(x: np.ndarray, y: np.ndarray) -> list[int]:
-    sizes = []
-    run = 1
-    for i in range(1, x.size):
-        if x[i] == x[i - 1] and y[i] == y[i - 1]:
-            run += 1
-        else:
-            if run > 1:
-                sizes.append(run)
-            run = 1
-    if run > 1:
-        sizes.append(run)
-    return sizes
+    ``same[i]`` says whether items i and i + 1 are equal.
+    """
+    runs = np.diff(np.flatnonzero(np.r_[True, ~same, True]))
+    return runs[runs > 1].tolist()
 
 
 def kendall_tau(series: PairedSeries) -> CorrelationResult:
@@ -152,24 +136,26 @@ def kendall_tau(series: PairedSeries) -> CorrelationResult:
 
     order = np.lexsort((y, x))
     xs, ys = x[order], y[order]
+    y_sorted = np.sort(y)
+    x_same = xs[1:] == xs[:-1]
+    tx = _tie_sizes(x_same)
+    ty = _tie_sizes(y_sorted[1:] == y_sorted[:-1])
 
     n0 = n * (n - 1) // 2
-    xtie = sum(t * (t - 1) // 2 for t in _tie_group_sizes(xs))
-    ytie = sum(t * (t - 1) // 2 for t in _tie_group_sizes(np.sort(y)))
-    ntie = sum(t * (t - 1) // 2 for t in _joint_tie_sizes(xs, ys))
+    xtie = sum(t * (t - 1) // 2 for t in tx)
+    ytie = sum(t * (t - 1) // 2 for t in ty)
+    ntie = sum(t * (t - 1) // 2 for t in _tie_sizes(x_same & (ys[1:] == ys[:-1])))
     dis = _count_inversions(ys.tolist())
 
     con_minus_dis = n0 - xtie - ytie + ntie - 2 * dis
     tau = con_minus_dis / math.sqrt((n0 - xtie) * (n0 - ytie))
     tau = max(-1.0, min(1.0, tau))
 
-    p_value = _asymptotic_p(n, xs, np.sort(y), con_minus_dis)
+    p_value = _asymptotic_p(n, tx, ty, con_minus_dis)
     return CorrelationResult(tau, p_value, n)
 
 
-def _asymptotic_p(n: int, x_sorted: np.ndarray, y_sorted: np.ndarray, con_minus_dis: int) -> float:
-    tx = _tie_group_sizes(x_sorted)
-    ty = _tie_group_sizes(y_sorted)
+def _asymptotic_p(n: int, tx: list[int], ty: list[int], con_minus_dis: int) -> float:
     v0 = n * (n - 1) * (2 * n + 5)
     vt = sum(t * (t - 1) * (2 * t + 5) for t in tx)
     vu = sum(u * (u - 1) * (2 * u + 5) for u in ty)

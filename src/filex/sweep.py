@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import ProcessParams, make_stream, run
+from .core import _MAX_SEED, ProcessParams, _check_count, _check_positive, make_stream, run
 from .errors import InvalidParameterError
 from .stats import CorrelationResult, PairedSeries, kendall_tau, shannon_entropy_bits
 
@@ -37,15 +37,9 @@ class SweepSpec:
     integral: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.steps, int) and not isinstance(self.steps, bool)):
-            raise InvalidParameterError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise InvalidParameterError(f"steps must be >= 2, got {self.steps}")
-        for name in ("low", "high"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidParameterError(f"{name} must be positive and finite, got {v}")
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "steps", _check_count("steps", self.steps, 2))
+        object.__setattr__(self, "low", _check_positive("low", self.low))
+        object.__setattr__(self, "high", _check_positive("high", self.high))
         if self.integral and math.floor(self.low) < 1:
             raise InvalidParameterError(f"integral sweep requires floor(low) >= 1, got low={self.low}")
 
@@ -91,7 +85,7 @@ class ExperimentSpec:
         if self.varied not in VARIED_NAMES:
             raise InvalidParameterError(f"varied must be one of {VARIED_NAMES}, got {self.varied!r}")
         if getattr(self, self.varied) is not None:
-            raise InvalidParameterError(f"varied parameter {self.varied!r} must not also be fixed")
+            raise InvalidParameterError(f"varied parameter {self.varied!r} must not also be given a fixed value")
         if self.alpha_coupled_to_s:
             if self.varied != "s":
                 raise InvalidParameterError("alpha_coupled_to_s is only valid when varying s")
@@ -104,10 +98,8 @@ class ExperimentSpec:
                 continue
             if getattr(self, field_name) is None:
                 raise InvalidParameterError(f"fixed parameter {field_name!r} is required")
-        if not (isinstance(self.replicates, int) and not isinstance(self.replicates, bool)) or self.replicates < 1:
-            raise InvalidParameterError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise InvalidParameterError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 1))
+        object.__setattr__(self, "master_seed", _check_count("master_seed", self.master_seed, 0, _MAX_SEED))
 
     @property
     def correlate_inverse(self) -> bool:
@@ -125,8 +117,6 @@ class ExperimentSpec:
         }
         if self.alpha_coupled_to_s:
             fields["alpha"] = ALPHA_PER_SYMBOL_COUPLING * fields["s"]
-        if fields[self.varied] is None:
-            raise InvalidParameterError(f"no value supplied for varied parameter {self.varied!r}")
         return ProcessParams(**fields)
 
 
@@ -151,23 +141,22 @@ def canonical_experiments(master_seed: int) -> list[ExperimentSpec]:
         alpha coupled to 5e-3 * s;
     (d) n from 1e2 to 1e6 over 400 integer points (alpha=1, beta=5, s=64).
     """
-    seed = int(master_seed)
     return [
         ExperimentSpec(
             name="alpha", varied="alpha", sweep=SweepSpec(1e-4, 1e-1, 200),
-            beta=10, s=64, n=1000, master_seed=seed,
+            beta=10, s=64, n=1000, master_seed=master_seed,
         ),
         ExperimentSpec(
             name="beta", varied="beta", sweep=SweepSpec(2**3, 2**15, 600, integral=True),
-            alpha=1e-3, s=64, n=10000, master_seed=seed,
+            alpha=1e-3, s=64, n=10000, master_seed=master_seed,
         ),
         ExperimentSpec(
             name="s", varied="s", sweep=SweepSpec(2**3, 2**8, 400, integral=True),
-            beta=10, n=1000, alpha_coupled_to_s=True, master_seed=seed,
+            beta=10, n=1000, alpha_coupled_to_s=True, master_seed=master_seed,
         ),
         ExperimentSpec(
             name="n", varied="n", sweep=SweepSpec(1e2, 1e6, 400, integral=True),
-            alpha=1.0, beta=5, s=64, master_seed=seed,
+            alpha=1.0, beta=5, s=64, master_seed=master_seed,
         ),
     ]
 
@@ -213,10 +202,8 @@ def run_experiment(
     record list is exactly a subset of the full one. Output order is (point,
     replicate) regardless of ``workers``.
     """
-    if stride < 1:
-        raise InvalidParameterError(f"stride must be >= 1, got {stride}")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    stride = _check_count("stride", stride, 1)
+    workers = _check_count("workers", workers, 1)
     values = log_sweep(spec.sweep)
 
     tasks = []

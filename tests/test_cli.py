@@ -119,6 +119,21 @@ class TestCmdSweep:
         assert "name" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config,flags,message",
+        [
+            ("experiment = alpha\nmaster_seed = 1\nreplicates = 0\n", [], "replicates"),
+            ("experiment = alpha\nmaster_seed = 1\n", ["--seed", "-1"], "master_seed"),
+        ],
+        ids=["replicates", "seed"],
+    )
+    def test_canonical_config_invalid_value_exits_2(self, tmp_path, capsys, config, flags, message):
+        cfg = write(tmp_path / "exp.cfg", config)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_correlate_inverse_key_unknown(self, tmp_path, capsys):
         cfg = write(tmp_path / "exp.cfg", SWEEP_ALPHA + "correlate_inverse = false\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -165,6 +180,33 @@ class TestCmdTable:
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["table", str(tmp_path / "missing.csv")]) == 1
+
+
+BAD_VALUE_CSVS = {
+    "zero alpha": "a,alpha,1,0,1,2.0\na,alpha,0,0,2,3.0\n",
+    "infinite entropy": "a,alpha,1,0,1,2.0\na,alpha,2,0,2,inf\n",
+}
+
+
+@pytest.mark.parametrize("command", ["table", "plot"])
+@pytest.mark.parametrize("body", BAD_VALUE_CSVS.values(), ids=BAD_VALUE_CSVS.keys())
+def test_out_of_range_csv_value_exits_1_with_line(tmp_path, capsys, command, body):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("experiment,param_name,param_value,replicate,seed,entropy_bits\n" + body)
+    extra = ["--out", str(tmp_path / "x.svg")] if command == "plot" else []
+    assert main([command, str(csv), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error at line 3")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_subnormal_alpha_exits_1(tmp_path, capsys):
+    # 1/alpha overflows to inf: the table reports the group undefined, the plot is refused
+    csv = tmp_path / "sub.csv"
+    csv.write_text("experiment,param_name,param_value,replicate,seed,entropy_bits\n"
+                   "a,alpha,1,0,1,2.0\na,alpha,5e-324,0,2,3.0\n")
+    assert main(["plot", str(csv), "--out", str(tmp_path / "x.svg")]) == 1
+    assert "error: log-x plot requires positive finite x values" in capsys.readouterr().err
 
 
 def test_alpha_sweep_api_and_cli_agree(tmp_path, capsys):

@@ -53,11 +53,30 @@ class TestProcessParams:
             dict(alpha=1.0, beta=1, s=1, n=-1),
             dict(alpha=1.0, beta=1.5, s=1, n=0),
             dict(alpha="x", beta=1, s=1, n=0),
+            dict(alpha=True, beta=1, s=1, n=0),
+            dict(alpha=5e-324, beta=1, s=2, n=1),  # alpha/s underflows to zero
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidParameterError):
             ProcessParams(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        p = ProcessParams(np.float32(0.5), np.int64(2), np.int32(3), np.uint8(4))
+        assert (p.alpha, p.beta, p.s, p.n) == (0.5, 2, 3, 4)
+        assert all(type(v) is t for v, t in zip((p.alpha, p.beta, p.s, p.n), (float, int, int, int)))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0, "1"])
+def test_make_stream_rejects_seed(seed):
+    with pytest.raises(InvalidParameterError, match="seed"):
+        make_stream(seed)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), True, "2"])
+def test_run_traced_rejects_scale(scale):
+    with pytest.raises(InvalidParameterError, match="increment_scale"):
+        run_traced(ProcessParams(1.0, 1, 2, 1), make_stream(0), increment_scale=scale)
 
 
 class TestInitWeights:

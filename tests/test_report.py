@@ -159,6 +159,23 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 3"):
             parse_records_csv(text)
 
+    @pytest.mark.parametrize(
+        "row,field",
+        [
+            ("a,alpha,0,0,5,1.0", "param_value"),
+            ("a,alpha,-0.5,0,5,1.0", "param_value"),
+            ("a,alpha,inf,0,5,1.0", "param_value"),
+            ("a,alpha,nan,0,5,1.0", "param_value"),
+            ("a,alpha,0.5,0,5,inf", "entropy_bits"),
+            ("a,alpha,0.5,0,5,nan", "entropy_bits"),
+            ("a,alpha,0.5,0,5,-1.0", "entropy_bits"),
+        ],
+    )
+    def test_out_of_range_value_names_line(self, row, field):
+        text = CSV_HEADER + "\na,alpha,1.0,0,5,1.0\n" + row + "\n"
+        with pytest.raises(CsvFormatError, match=f"line 3: {field}"):
+            parse_records_csv(text)
+
     def test_read_records_csv(self, tmp_path):
         spec, records = small_records()
         path = tmp_path / "r.csv"
@@ -213,7 +230,7 @@ class TestSvg:
 
     def test_log_axis_requires_positive(self):
         with pytest.raises(InvalidInputError):
-            PlotSpec(points=[(-1.0, 1.0)], x_label="x", log_x=True)
+            PlotSpec(points=[(-1.0, 1.0)], x_label="x")
 
     def test_max_entropy_markers_on_top_gridline(self):
         points = [(1.0, 6.0), (10.0, 6.0)]

@@ -37,6 +37,24 @@ class TestSweepSpec:
         with pytest.raises(InvalidParameterError):
             SweepSpec(0.5, 10.0, 5, integral=True)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(low=True, high=10.0, steps=5),
+            dict(low="x", high=10.0, steps=5),
+            dict(low=1.0, high=float("inf"), steps=5),
+            dict(low=1.0, high=10.0, steps=True),
+            dict(low=1.0, high=10.0, steps=5.0),
+        ],
+    )
+    def test_invalid(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            SweepSpec(**kwargs)
+
+    def test_numpy_int_steps_accepted(self):
+        spec = SweepSpec(1, 8, np.int64(3))
+        assert spec.steps == 3 and type(spec.steps) is int
+
 
 class TestLogSweep:
     def test_decades(self):
@@ -96,6 +114,18 @@ class TestExperimentSpec:
         with pytest.raises(InvalidParameterError, match="name"):
             ExperimentSpec(name=name, varied="n", sweep=SweepSpec(1, 8, 4, integral=True),
                            alpha=1.0, beta=2, s=4)
+
+    @pytest.mark.parametrize("master_seed", [2.7, True, -1, 2**64])
+    def test_master_seed_must_be_a_64_bit_integer(self, master_seed):
+        with pytest.raises(InvalidParameterError, match="master_seed"):
+            ExperimentSpec(name="x", varied="n", sweep=SweepSpec(1, 8, 4, integral=True),
+                           alpha=1.0, beta=2, s=4, master_seed=master_seed)
+
+    @pytest.mark.parametrize("replicates", [0, True, 1.0])
+    def test_replicates_must_be_a_positive_integer(self, replicates):
+        with pytest.raises(InvalidParameterError, match="replicates"):
+            ExperimentSpec(name="x", varied="n", sweep=SweepSpec(1, 8, 4, integral=True),
+                           alpha=1.0, beta=2, s=4, replicates=replicates)
 
     def test_params_at_applies_coupling(self):
         spec = ExperimentSpec(name="s", varied="s", sweep=SweepSpec(8, 256, 10, integral=True),
@@ -205,6 +235,11 @@ class TestRunExperiment:
         )
         with pytest.raises(InvalidParameterError, match=r"sweep point 0"):
             run_experiment(spec)
+
+    @pytest.mark.parametrize("kwargs", [dict(stride=1.5), dict(stride=0), dict(workers=1.5), dict(workers=0)])
+    def test_stride_and_workers_must_be_positive_integers(self, kwargs):
+        with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+            run_experiment(tiny_spec(), **kwargs)
 
     def test_reference_mode_supported(self):
         records = run_experiment(tiny_spec(), mode="reference")
