@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from filex.core import ProcessParams, init_weights, make_stream, run, run_traced, step, step_fast
+from filex.core import ProcessParams, _block_run, init_weights, make_stream, run, run_traced, step, step_fast
 from filex.report import (
     correlation_table_from_rows,
     parse_records_csv,
@@ -56,6 +56,12 @@ from oracles import (
 TAU_TARGETS = {"alpha": -0.87, "beta": 0.95, "s": 0.77, "n": -0.53}
 TAU_TOLERANCE = 0.08
 REDUCED_TOLERANCE = 0.12
+
+# Criterion 4's 27 block-kernel chi-square tests share one 1% false-alarm
+# budget (Bonferroni): at 0.01 apiece, about a quarter of all seeds would fail
+# one of them with the kernel's law exact.
+BLOCK_CONFIGS = 27
+BLOCK_P_GATE = 0.01 / BLOCK_CONFIGS
 
 # Criterion 9 windows, in bits, around the exact expected entropy.
 CURVE_TOLERANCE = 0.2
@@ -203,20 +209,27 @@ def test_criterion_3_polya_urn_oracle():
 
 # -- criterion 4: fast-path equivalence ----------------------------------------
 
-def _fast_outcome_counts(alpha, beta, s, n, samples, seed):
+def _outcome_counts(sample, alpha, beta, s, n, samples, seed):
+    """Hit-count outcomes of ``samples`` runs of ``sample(params, rng)`` (final weights)."""
     params = ProcessParams(alpha, beta, s, n)
     rng = make_stream(seed)
     observed = {}
     for _ in range(samples):
-        key = recover_hit_counts(run(params, rng, "fast").probs, alpha, beta, s, n)
+        w = sample(params, rng)
+        key = recover_hit_counts(w / w.sum(), alpha, beta, s, n)
         observed[key] = observed.get(key, 0) + 1
     return observed
 
 
 def test_criterion_4_fast_path_equivalence():
+    # Runs this small stay on the multinomial loop, so the block copy kernel
+    # is also called directly, with blocks of one iteration (every later draw
+    # picks from the block-start weights) and of two (draws copy in-block draws).
     alpha = 2.0
     samples = 100_000
-    worst_p = 1.0
+    block_samples = 30_000
+    worst_p = worst_block_p = 1.0
+    block_configs = 0
     for s in (1, 2, 3):
         for beta in (1, 2, 3):
             for n in (0, 1, 2):
@@ -225,11 +238,33 @@ def test_criterion_4_fast_path_equivalence():
                     assert np.ptp(dist.probs) == 0.0
                     continue
                 expected = enumerate_outcome_distribution(Fraction(2), beta, s, n)
-                observed = _fast_outcome_counts(alpha, beta, s, n, samples, MASTER_SEED + 40 + s * 100 + beta * 10 + n)
+                observed = _outcome_counts(
+                    lambda params, rng: run(params, rng, "fast").probs,
+                    alpha, beta, s, n, samples, MASTER_SEED + 40 + s * 100 + beta * 10 + n,
+                )
                 p_value = chi2_gof_pvalue(observed, expected, samples)
                 worst_p = min(worst_p, p_value)
                 assert p_value > 0.01, f"chi-square rejects fast path at s={s}, beta={beta}, n={n}: p={p_value:.4f}"
-    criterion_line("criterion 4", True, f"18 configurations, {samples} samples each, min chi2 p = {worst_p:.3f}")
+                for block in range(1, n + 1):
+                    observed = _outcome_counts(
+                        lambda params, rng: _block_run(params, rng, block),
+                        alpha, beta, s, n, block_samples, MASTER_SEED + 5000 + block * 1000 + s * 100 + beta * 10 + n,
+                    )
+                    p_value = chi2_gof_pvalue(observed, expected, block_samples)
+                    worst_block_p = min(worst_block_p, p_value)
+                    block_configs += 1
+                    assert p_value > BLOCK_P_GATE, (
+                        f"chi-square rejects block kernel at s={s}, beta={beta}, n={n}, block={block}: "
+                        f"p={p_value:.2e} <= {BLOCK_P_GATE:.2e}"
+                    )
+    assert block_configs == BLOCK_CONFIGS
+    criterion_line(
+        "criterion 4",
+        True,
+        f"18 configurations, {samples} samples each, min chi2 p = {worst_p:.3f}; block kernel: "
+        f"{block_configs} configurations, {block_samples} samples each, min chi2 p = {worst_block_p:.4f} "
+        f"(gate {BLOCK_P_GATE:.1e})",
+    )
 
 
 # -- criterion 5: scale equivalence --------------------------------------------

@@ -58,6 +58,12 @@ class TestCmdRun:
         out = capsys.readouterr().out
         assert "distribution=0.25 0.25 0.25 0.25" in out
 
+    def test_underflowing_final_probability_exits_2(self, tmp_path, capsys):
+        # alpha/s is representable, (alpha/s)/(alpha+n) underflows to zero
+        cfg = write(tmp_path / "run.cfg", "alpha = 4e-322\nbeta = 1\ns = 2\nn = 1000\nseed = 3\n")
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: (alpha/s)/(alpha+n) underflows to zero")
+
     def test_mode_flag_overrides(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", RUN_UNIFORM + "mode = fast\n")
         assert main(["run", "--config", cfg, "--mode", "reference"]) == 0

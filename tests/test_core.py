@@ -11,7 +11,11 @@ from filex.core import (
     Distribution,
     ProcessParams,
     WeightState,
+    _block_run,
+    _fast_kernel,
     _inverse_cdf,
+    _inverse_cdf_counts,
+    _multinomial_run,
     init_weights,
     make_stream,
     run,
@@ -55,6 +59,7 @@ class TestProcessParams:
             dict(alpha="x", beta=1, s=1, n=0),
             dict(alpha=True, beta=1, s=1, n=0),
             dict(alpha=5e-324, beta=1, s=2, n=1),  # alpha/s underflows to zero
+            dict(alpha=4e-322, beta=1, s=2, n=1000),  # (alpha/s)/(alpha+n) underflows to zero
         ],
     )
     def test_invalid(self, kwargs):
@@ -138,6 +143,17 @@ class TestSampleCategorical:
     def test_three_to_one_frequency(self):
         hits = np.count_nonzero(_inverse_cdf(np.array([3.0, 1.0]), make_stream(2).random(100_000)) == 0)
         assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
+
+    def test_counts_equal_histogram_of_indices(self):
+        # the block kernel's sorted form must pick exactly the indices the
+        # per-variate search picks, ties on prefix sums and u = 1 included
+        rng = np.random.default_rng(25)
+        for weights in (np.array([5.0]), np.array([0.5, 0.5, 1.0, 2.0]), rng.random(64) + 1e-9):
+            cdf = np.cumsum(weights)
+            edges = np.r_[cdf / cdf[-1], np.nextafter(cdf / cdf[-1], 0.0)]
+            for u in (rng.random(1000), np.r_[edges, 0.0, 1.0]):
+                expected = np.bincount(_inverse_cdf(weights, u), minlength=weights.size)
+                assert _inverse_cdf_counts(weights, u).tolist() == expected.tolist()
 
 
 class TestStep:
@@ -247,9 +263,14 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             run(ProcessParams(1.0, 1, 2, 1), make_stream(16), mode="bogus")
 
-    @pytest.mark.parametrize("mode,stepper", [("reference", step), ("fast", step_fast)])
-    def test_run_equals_folded_steps(self, mode, stepper):
-        params = ProcessParams(0.5, 4, 16, 150)
+    @pytest.mark.parametrize(
+        "mode,stepper,beta", [("reference", step, 4), ("fast", step_fast, 1024)], ids=["reference-step", "fast-step_fast"]
+    )
+    def test_run_equals_folded_steps(self, mode, stepper, beta):
+        # fast mode folds step_fast only where the cost rule keeps the multinomial loop
+        params = ProcessParams(0.5, beta, 16, 150)
+        if mode == "fast":
+            assert _fast_kernel(params) is _multinomial_run
         dist = run(params, make_stream(17), mode)
         state = init_weights(params)
         rng = make_stream(17)
@@ -289,6 +310,29 @@ class TestRun:
             observed[key] = observed.get(key, 0) + 1
         assert chi2_gof_pvalue(observed, expected, trials) > 0.01
 
+    def test_cost_rule(self):
+        # tiny runs and huge beta stay on the multinomial loop; sweep-sized runs go blockwise
+        for s in (1, 3, 64):
+            for beta in (1, 3, 5, 10):
+                for n in (0, 1, 2, 3):
+                    assert _fast_kernel(ProcessParams(2.0, beta, s, n)) is _multinomial_run
+        assert _fast_kernel(ProcessParams(1e-3, 32768, 64, 10_000)) is _multinomial_run
+        assert _fast_kernel(ProcessParams(1.0, 5, 64, 100_000)) is _block_run
+
+    def test_block_kernel_long_copy_chains(self):
+        # one block over all four iterations: copies of copies, resolved by pointer jumping
+        alpha, beta, s, n = 2.0, 2, 3, 4
+        expected = enumerate_outcome_distribution(Fraction(2), beta, s, n)
+        params = ProcessParams(alpha, beta, s, n)
+        rng = make_stream(26)
+        observed = {}
+        trials = 30_000
+        for _ in range(trials):
+            w = _block_run(params, rng, n)
+            key = recover_hit_counts(w / w.sum(), alpha, beta, s, n)
+            observed[key] = observed.get(key, 0) + 1
+        assert chi2_gof_pvalue(observed, expected, trials) > 0.01
+
 
 # Sweep-size points beyond exact enumeration: (alpha, beta, s, n).
 SWEEP_SIZE_POINTS = [(1.0, 5, 64, 200), (0.01, 10, 64, 500), (0.32, 1, 64, 1000)]
@@ -297,13 +341,22 @@ SWEEP_SIZE_REPLICATES = 120
 SWEEP_SIZE_ALPHA = 1e-4
 
 
-@pytest.mark.parametrize("mode", ["reference", "fast"])
+# (params, rng) -> final weights, up to a common factor
+SAMPLERS = {
+    "reference": lambda params, rng: run(params, rng, "reference").probs,
+    "multinomial": _multinomial_run,
+    "block": _block_run,
+}
+
+
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
 @pytest.mark.parametrize("alpha,beta,s,n", SWEEP_SIZE_POINTS)
-def test_mean_entropy_matches_exact_at_sweep_sizes(mode, alpha, beta, s, n):
+def test_mean_entropy_matches_exact_at_sweep_sizes(sampler, alpha, beta, s, n):
     """Replicate-mean entropy lies within t(1 - a/2, k - 1) * SD / sqrt(k) of the exact E[H]."""
     params = ProcessParams(alpha, beta, s, n)
     k = SWEEP_SIZE_REPLICATES
-    h = np.array([shannon_entropy_bits(run(params, make_stream(10_000 * n + r), mode)) for r in range(k)])
+    weights = [SAMPLERS[sampler](params, make_stream(10_000 * n + r)) for r in range(k)]
+    h = np.array([shannon_entropy_bits(w / w.sum()) for w in weights])
     bound = scipy_stats.t.ppf(1 - SWEEP_SIZE_ALPHA / 2, k - 1) * h.std(ddof=1) / math.sqrt(k)
     exact = expected_entropy_bits(alpha, beta, s, n)
     assert abs(h.mean() - exact) <= bound, f"mean {h.mean():.4f} vs exact {exact:.4f} (bound {bound:.4f})"
