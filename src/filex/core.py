@@ -240,27 +240,58 @@ def _block_run(params: ProcessParams, rng: RandomStream, block_iterations: int |
     return w
 
 
-# Cost model of the two fast kernels, in microseconds. Interleaved medians on
-# 2 CPUs (Python 3.11, numpy 2.4): a multinomial iteration took 9.0 us at
-# s = 2, 11.6 at s = 64, 22.0 at s = 256 and 895 at s = 16384; a one-block
-# run took 72 us at 1 draw and 266 us at 4096 draws (beta = 4, s = 64). A
-# block's own cost per symbol (756 us at 1 draw with s = 16384) is below the
-# multinomial's per iteration and is left out, as is the multinomial's slow
-# growth with beta (15.5 us per iteration at beta = 100, s = 64), so near the
-# crossover the model errs towards the multinomial loop.
+# Cost model of a run, in microseconds. Interleaved medians on 2 CPUs
+# (Python 3.11, numpy 2.4): a multinomial iteration took 9.0 us at s = 2, 11.6
+# at s = 64, 22.0 at s = 256 and 895 at s = 16384; a one-block run took 72 us
+# at 1 draw and 266 us at 4096 draws (beta = 4, s = 64). A block's own cost per
+# symbol (756 us at 1 draw with s = 16384) is below the multinomial's per
+# iteration and is left out, as is the multinomial's slow growth with beta
+# (15.5 us per iteration at beta = 100, s = 64), so near the crossover the
+# model errs towards the multinomial loop. A run's fixed cost (stream,
+# normalization, entropy; a run of n = 0) and the reference kernel's costs
+# were timed the same way, scaled to 11.6 us per multinomial iteration at
+# s = 64: 51 us fixed, 14.9 us per reference iteration at beta = 1, and
+# 0.078 us per further draw (beta = 1000 and 4096, s = 64).
 _MULTINOMIAL_ITERATION_US = 9.0
 _MULTINOMIAL_SYMBOL_US = 0.05
 _BLOCK_US = 75.0
 _BLOCK_DRAW_US = 0.047
+_RUN_US = 50.0
+_REFERENCE_ITERATION_US = 15.0
+_REFERENCE_DRAW_US = 0.078
+
+
+def _fast_kernel_us(params: ProcessParams) -> dict:
+    """Modelled microseconds of each fast kernel's loop for ``params``, by kernel.
+
+    The multinomial loop comes first, so a tie goes to it.
+    """
+    n, beta = params.n, params.beta
+    blocks = -(-n // max(1, _BLOCK_DRAWS // beta))
+    return {
+        _multinomial_run: n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s),
+        _block_run: blocks * _BLOCK_US + n * beta * _BLOCK_DRAW_US,
+    }
 
 
 def _fast_kernel(params: ProcessParams):
     """The fast kernel with the lower modelled run time for ``params``."""
-    n, beta = params.n, params.beta
-    blocks = -(-n // max(1, _BLOCK_DRAWS // beta))
-    block_us = blocks * _BLOCK_US + n * beta * _BLOCK_DRAW_US
-    multinomial_us = n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s)
-    return _block_run if block_us < multinomial_us else _multinomial_run
+    costs = _fast_kernel_us(params)
+    return min(costs, key=costs.get)
+
+
+def run_cost_us(params: ProcessParams, mode: str) -> float:
+    """Modelled microseconds of one run of ``params``, stream set-up and entropy included.
+
+    Fast mode costs the cheaper of its two kernels, the one :func:`_fast_kernel`
+    picks; reference mode costs a fixed amount per iteration and per draw.
+    The model depends on ``params`` and ``mode`` alone.
+    """
+    if mode == "fast":
+        loop_us = min(_fast_kernel_us(params).values())
+    else:
+        loop_us = params.n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * params.beta)
+    return _RUN_US + loop_us
 
 
 def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:

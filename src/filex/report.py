@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 from xml.sax.saxutils import escape
 
-from .core import ProcessParams, _check_positive
+from .core import _MAX_SEED, ProcessParams, _check_count, _check_positive
 from .errors import ConfigError, CsvFormatError, InvalidInputError, UndefinedCorrelationError
 from .stats import CorrelationResult
 from .sweep import ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, correlate, sweep_axis
@@ -111,11 +111,12 @@ def run_config_from_mapping(cfg: dict[str, str]) -> RunConfig:
     values = _take(cfg, _RUN_SCHEMA)
     try:
         params = ProcessParams(values["alpha"], values["beta"], values["s"], values["n"])
+        seed = _check_count("seed", values["seed"], 0, _MAX_SEED)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(
         params=params,
-        seed=values["seed"],
+        seed=seed,
         mode=values.get("mode", "fast"),
         show_distribution=values.get("show_distribution", False),
     )

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import _MAX_SEED, ProcessParams, _check_count, _check_positive, make_stream, run
+from .core import _MAX_SEED, ProcessParams, _check_count, _check_positive, make_stream, run, run_cost_us
 from .errors import InvalidParameterError
 from .stats import CorrelationResult, PairedSeries, kendall_tau, shannon_entropy_bits
 
@@ -189,6 +189,58 @@ def _entropy_task(task: tuple[ProcessParams, int, str]) -> float:
     return shannon_entropy_bits(run(params, make_stream(seed), mode))
 
 
+def _entropy_chunk(tasks: list[tuple[ProcessParams, int, str]]) -> list[float]:
+    """Entropies of several tasks, run in order: one pool call for all of them."""
+    return [_entropy_task(t) for t in tasks]
+
+
+# Modelled work per pool call. One call costs about 0.6 ms of IPC and
+# pickling, so 10 ms chunks spread it thin, while chunks stay small enough
+# for the workers to finish close together.
+_CHUNK_US = 10_000.0
+
+
+def _chunk_plan(costs: Sequence[float]) -> list[list[int]]:
+    """Task indices cut into chunks of about ``_CHUNK_US`` modelled work, costliest first.
+
+    Tasks are taken in non-increasing order of cost (ties in task order) and
+    a chunk closes before the task that would take it past the target, so a
+    task costing more than the target sits alone, and every task of a chunk
+    costs at least as much as every task of the chunks after it.
+    """
+    chunks: list[list[int]] = []
+    total = 0.0
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        if not chunks or total + costs[i] > _CHUNK_US:
+            chunks.append([])
+            total = 0.0
+        chunks[-1].append(i)
+        total += costs[i]
+    return chunks
+
+
+def _run_tasks(tasks: list[tuple[ProcessParams, int, str]], workers: int) -> list[float]:
+    """Entropy of every task, in task order.
+
+    With more than one worker the tasks go out in the chunks of
+    :func:`_chunk_plan`, costliest first, to at most one worker per chunk; a
+    single chunk runs in this process. Each task's entropy depends only on
+    the task, so the plan cannot change the result.
+    """
+    if workers == 1:
+        return _entropy_chunk(tasks)
+    plan = _chunk_plan([run_cost_us(params, mode) for params, _, mode in tasks])
+    if len(plan) == 1:
+        return _entropy_chunk(tasks)
+    entropies = [0.0] * len(tasks)
+    with ProcessPoolExecutor(max_workers=min(workers, len(plan))) as pool:
+        results = pool.map(_entropy_chunk, [[tasks[i] for i in chunk] for chunk in plan])
+        for chunk, values in zip(plan, results):
+            for i, entropy in zip(chunk, values):
+                entropies[i] = entropy
+    return entropies
+
+
 def run_experiment(
     spec: ExperimentSpec,
     mode: str = "fast",
@@ -199,8 +251,9 @@ def run_experiment(
 
     ``stride`` keeps every stride-th sweep point (the reduced preset uses 4);
     point indices from the full sweep feed the seed derivation, so a strided
-    record list is exactly a subset of the full one. Output order is (point,
-    replicate) regardless of ``workers``.
+    record list is exactly a subset of the full one. With ``workers`` > 1 the
+    runs are scheduled by their modelled cost (:func:`_run_tasks`). Output
+    order is (point, replicate) regardless of ``workers``.
     """
     stride = _check_count("stride", stride, 1)
     workers = _check_count("workers", workers, 1)
@@ -221,12 +274,7 @@ def run_experiment(
             keys.append((value, replicate, seed))
             tasks.append((params, seed, mode))
 
-    if workers == 1:
-        entropies = [_entropy_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entropies = list(pool.map(_entropy_task, tasks))
-
+    entropies = _run_tasks(tasks, workers)
     return [
         RunRecord(spec.name, float(value), replicate, seed, entropy)
         for (value, replicate, seed), entropy in zip(keys, entropies)

@@ -64,6 +64,12 @@ class TestCmdRun:
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: (alpha/s)/(alpha+n) underflows to zero")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
+        cfg = write(tmp_path / "run.cfg", f"alpha = 1\nbeta = 1\ns = 4\nn = 0\nseed = {seed}\n")
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
+
     def test_mode_flag_overrides(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", RUN_UNIFORM + "mode = fast\n")
         assert main(["run", "--config", cfg, "--mode", "reference"]) == 0

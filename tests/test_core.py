@@ -11,14 +11,17 @@ from filex.core import (
     Distribution,
     ProcessParams,
     WeightState,
+    _RUN_US,
     _block_run,
     _fast_kernel,
+    _fast_kernel_us,
     _inverse_cdf,
     _inverse_cdf_counts,
     _multinomial_run,
     init_weights,
     make_stream,
     run,
+    run_cost_us,
     run_traced,
     step,
     step_fast,
@@ -318,6 +321,17 @@ class TestRun:
                     assert _fast_kernel(ProcessParams(2.0, beta, s, n)) is _multinomial_run
         assert _fast_kernel(ProcessParams(1e-3, 32768, 64, 10_000)) is _multinomial_run
         assert _fast_kernel(ProcessParams(1.0, 5, 64, 100_000)) is _block_run
+        # over a grid, the kernel run is the one the cost model rates cheaper,
+        # and fast mode is costed at that kernel
+        for alpha in (1e-3, 1.0, 64.0):
+            for beta in (1, 5, 100, 186, 187, 1000, 32768):
+                for s in (1, 2, 64, 256, 16384):
+                    for n in (0, 1, 6, 7, 100, 10_000, 1_000_000):
+                        params = ProcessParams(alpha, beta, s, n)
+                        costs = _fast_kernel_us(params)
+                        kernel = _fast_kernel(params)
+                        assert costs[kernel] == min(costs.values())
+                        assert run_cost_us(params, "fast") == _RUN_US + costs[kernel]
 
     def test_block_kernel_long_copy_chains(self):
         # one block over all four iterations: copies of copies, resolved by pointer jumping

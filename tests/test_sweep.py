@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from filex.core import ProcessParams, make_stream, run
+from filex import sweep
+from filex.core import ProcessParams, make_stream, run, run_cost_us
 from filex.errors import InvalidParameterError, UndefinedCorrelationError
 from filex.stats import PairedSeries, kendall_tau, shannon_entropy_bits
 from filex.sweep import (
@@ -244,6 +245,78 @@ class TestRunExperiment:
     def test_reference_mode_supported(self):
         records = run_experiment(tiny_spec(), mode="reference")
         assert len(records) == 8
+
+
+def skewed_spec():
+    # n from 1e2 to 2e4: modelled costs from about 0.15 ms to 7 ms per run
+    return ExperimentSpec(
+        name="skewed", varied="n", sweep=SweepSpec(1e2, 2e4, 6, integral=True),
+        alpha=1.0, beta=5, s=64, replicates=3, master_seed=17,
+    )
+
+
+def task_costs(spec):
+    return [run_cost_us(spec.params_at(v), "fast") for v in log_sweep(spec.sweep) for _ in range(spec.replicates)]
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Swap the process pool for an in-process one; list the worker count of each pool started."""
+    starts = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    return starts
+
+
+class TestSchedule:
+    @given(st.lists(st.floats(min_value=0.0, max_value=3e4), max_size=60))
+    def test_plan_covers_each_task_once_costliest_first(self, costs):
+        plan = sweep._chunk_plan(costs)
+        assert sorted(i for chunk in plan for i in chunk) == list(range(len(costs)))
+        ordered = [costs[i] for chunk in plan for i in chunk]
+        assert ordered == sorted(costs, reverse=True)
+        for chunk in plan:
+            assert len(chunk) == 1 or sum(costs[i] for i in chunk) <= sweep._CHUNK_US
+
+    def test_task_above_target_sits_alone(self):
+        costs = [50.0, 2 * sweep._CHUNK_US, 50.0, 1.5 * sweep._CHUNK_US]
+        assert sweep._chunk_plan(costs) == [[1], [3], [0, 2]]
+
+    def test_tiny_tasks_share_chunks(self):
+        plan = sweep._chunk_plan([50.0] * 1000)
+        assert [len(chunk) for chunk in plan] == [200] * 5
+        assert plan[0] == list(range(200))
+
+    def test_skewed_records_equal_for_any_worker_count(self):
+        spec = skewed_spec()
+        assert len(sweep._chunk_plan(task_costs(spec))) >= 2
+        serial = run_experiment(spec, workers=1)
+        assert run_experiment(spec, workers=2) == serial
+        assert run_experiment(spec, workers=3) == serial
+
+    def test_one_worker_per_chunk_at_most(self, pool_starts):
+        spec = skewed_spec()
+        chunks = len(sweep._chunk_plan(task_costs(spec)))
+        assert run_experiment(spec, workers=64) == run_experiment(spec, workers=1)
+        assert pool_starts == [min(64, chunks)]
+
+    def test_single_chunk_runs_without_a_pool(self, pool_starts):
+        assert len(sweep._chunk_plan(task_costs(tiny_spec()))) == 1
+        assert run_experiment(tiny_spec(), workers=2) == run_experiment(tiny_spec(), workers=1)
+        assert pool_starts == []
 
 
 class TestCorrelationTable:
