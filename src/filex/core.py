@@ -53,6 +53,28 @@ def _check_positive(name: str, value) -> float:
     return value
 
 
+def _check_mode(mode) -> str:
+    """``mode`` if it names a sampler: "reference" or "fast"."""
+    if mode not in ("reference", "fast"):
+        raise InvalidParameterError(f"mode must be 'reference' or 'fast', got {mode!r}")
+    return mode
+
+
+def _check_positive_array(name: str, values) -> np.ndarray:
+    """``values`` as a non-empty 1-d float64 array whose entries are all positive and finite.
+
+    NaN fails both comparisons, so ``min > 0`` and ``max < inf`` accept exactly
+    the arrays that ``all(isfinite)`` and ``all(> 0)`` accept, in two plain
+    reductions.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim != 1 or a.size == 0:
+        raise InvalidInputError(f"{name} must be a non-empty 1-d array")
+    if not (a.min() > 0.0 and a.max() < math.inf):
+        raise InvalidInputError(f"{name} must all be positive and finite")
+    return a
+
+
 def make_stream(seed: int) -> RandomStream:
     """Create the package's deterministic random stream from a 64-bit seed."""
     return np.random.default_rng(_check_count("seed", seed, 0, _MAX_SEED))
@@ -93,12 +115,7 @@ class WeightState:
     iteration: int
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise InvalidInputError("weights must be a non-empty 1-d array")
-        if not np.all(np.isfinite(w)) or not np.all(w > 0.0):
-            raise InvalidInputError("weights must all be positive and finite")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _check_positive_array("weights", self.weights))
         object.__setattr__(self, "iteration", _check_count("iteration", self.iteration, 0))
 
     @property
@@ -113,11 +130,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise InvalidInputError("probs must be a non-empty 1-d array")
-        if not np.all(np.isfinite(p)) or not np.all(p > 0.0):
-            raise InvalidInputError("probs must all be positive and finite")
+        p = _check_positive_array("probs", self.probs)
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {p.sum()!r}")
         object.__setattr__(self, "probs", p)
@@ -285,9 +298,10 @@ def run_cost_us(params: ProcessParams, mode: str) -> float:
 
     Fast mode costs the cheaper of its two kernels, the one :func:`_fast_kernel`
     picks; reference mode costs a fixed amount per iteration and per draw.
-    The model depends on ``params`` and ``mode`` alone.
+    The model depends on ``params`` and ``mode`` alone; another mode is
+    rejected, not priced.
     """
-    if mode == "fast":
+    if _check_mode(mode) == "fast":
         loop_us = min(_fast_kernel_us(params).values())
     else:
         loop_us = params.n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * params.beta)
@@ -322,9 +336,7 @@ def run(params: ProcessParams, rng: RandomStream, mode: str = "fast") -> Distrib
     sample the same law, and the pick depends on ``params`` alone, so a run
     still depends only on its parameters and seed.
     """
-    if mode not in ("reference", "fast"):
-        raise InvalidParameterError(f"mode must be 'reference' or 'fast', got {mode!r}")
-    if mode == "fast":
+    if _check_mode(mode) == "fast":
         return _normalize(_fast_kernel(params)(params, rng))
     w = np.full(params.s, params.alpha / params.s)
     for _ in range(params.n):

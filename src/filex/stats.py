@@ -34,7 +34,8 @@ class PairedSeries:
             raise InvalidInputError(f"series lengths differ: {x.size} != {y.size}")
         if x.size < 2:
             raise InvalidInputError("series must contain at least 2 pairs")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        # NaN fails both comparisons
+        if not all(-math.inf < a.min() and a.max() < math.inf for a in (x, y)):
             raise InvalidInputError("series values must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -70,7 +71,8 @@ def shannon_entropy_bits(dist) -> float:
         probs = np.asarray(dist, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidInputError("distribution must be a non-empty 1-d array")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        # NaN fails both comparisons; -0.0 passes, as a zero
+        if not (probs.min() >= 0.0 and probs.max() < math.inf):
             raise InvalidInputError("probabilities must be finite and non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > _SUM_TOLERANCE:

@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -32,3 +33,19 @@ def canonical_records():
     for spec in canonical_experiments(MASTER_SEED):
         out[spec.name] = (spec, run_experiment(spec, mode="fast", workers=WORKERS))
     return out
+
+
+@pytest.fixture
+def real_pool_starts(monkeypatch):
+    """Keep the real process pool; list the worker count of each pool a sweep starts."""
+    from filex import sweep
+
+    starts = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SpyPool)
+    return starts

@@ -386,14 +386,15 @@ def test_criterion_9_n_sweep_decile_shape(canonical_records, exact_entropy):
 
 # -- criterion 10: determinism across workers -----------------------------------
 
-def test_criterion_10_worker_determinism(tmp_path):
+def test_criterion_10_worker_determinism(tmp_path, real_pool_starts):
+    # n is large enough (65 ms modelled) that the 4-worker run pays for a pool
     spec = ExperimentSpec(
         name="determinism",
         varied="alpha",
         sweep=SweepSpec(1e-3, 1e-1, 24),
         beta=4,
         s=16,
-        n=200,
+        n=5000,
         replicates=2,
         master_seed=MASTER_SEED,
     )
@@ -401,6 +402,7 @@ def test_criterion_10_worker_determinism(tmp_path):
     for workers in (1, 4):
         records = run_experiment(spec, mode="fast", workers=workers)
         texts[workers] = records_to_csv(spec, records).encode()
+    assert real_pool_starts == [4]
     again = records_to_csv(spec, run_experiment(spec, mode="fast", workers=1)).encode()
     ok = texts[1] == texts[4] == again
     criterion_line("criterion 10", ok, f"{len(texts[1])} CSV bytes identical across worker counts 1 and 4")

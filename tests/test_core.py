@@ -265,6 +265,8 @@ class TestRun:
     def test_mode_validation(self):
         with pytest.raises(InvalidParameterError):
             run(ProcessParams(1.0, 1, 2, 1), make_stream(16), mode="bogus")
+        with pytest.raises(InvalidParameterError, match="mode"):
+            run_cost_us(ProcessParams(1.0, 1, 2, 1), "bogus")
 
     @pytest.mark.parametrize(
         "mode,stepper,beta", [("reference", step, 4), ("fast", step_fast, 1024)], ids=["reference-step", "fast-step_fast"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from filex.core import Distribution, WeightState
 from filex.errors import InvalidInputError, UndefinedCorrelationError
 from filex.stats import CorrelationResult, PairedSeries, kendall_tau, shannon_entropy_bits
 
@@ -77,6 +79,41 @@ class TestPairedSeries:
     def test_rejects_short(self):
         with pytest.raises(InvalidInputError):
             PairedSeries([1], [1])
+
+
+ENTRIES = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "0.0": 0.0, "-0.0": -0.0, "negative": -0.25}
+
+# each array check: a call with one entry v, its error message, and the entries it accepts
+ARRAY_CHECKS = {
+    "Distribution": (
+        lambda v: Distribution(np.array([0.5, 0.5, v])), "probs must all be positive and finite", (),
+    ),
+    "WeightState": (
+        lambda v: WeightState(np.array([1.0, v]), 0), "weights must all be positive and finite", (),
+    ),
+    "PairedSeries.x": (
+        lambda v: PairedSeries([1.0, v], [1.0, 2.0]), "series values must be finite", ("0.0", "-0.0", "negative"),
+    ),
+    "PairedSeries.y": (
+        lambda v: PairedSeries([1.0, 2.0], [v, 1.0]), "series values must be finite", ("0.0", "-0.0", "negative"),
+    ),
+    "shannon_entropy_bits": (
+        lambda v: shannon_entropy_bits(np.array([0.5, 0.5, v])),
+        "probabilities must be finite and non-negative",
+        ("0.0", "-0.0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("check", ARRAY_CHECKS)
+def test_array_check_accepts_and_rejects(check, entry):
+    build, message, accepted = ARRAY_CHECKS[check]
+    if entry in accepted:
+        build(ENTRIES[entry])
+    else:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            build(ENTRIES[entry])
 
 
 class TestKendallTau:

@@ -248,15 +248,31 @@ class TestRunExperiment:
 
 
 def skewed_spec():
-    # n from 1e2 to 2e4: modelled costs from about 0.15 ms to 7 ms per run
+    # n from 1e2 to 1e5: modelled costs from about 0.15 ms to 33 ms per run,
+    # 132 ms in all, enough for a pool of up to 7 workers to pay its start-up
     return ExperimentSpec(
-        name="skewed", varied="n", sweep=SweepSpec(1e2, 2e4, 6, integral=True),
+        name="skewed", varied="n", sweep=SweepSpec(1e2, 1e5, 6, integral=True),
         alpha=1.0, beta=5, s=64, replicates=3, master_seed=17,
     )
 
 
-def task_costs(spec):
-    return [run_cost_us(spec.params_at(v), "fast") for v in log_sweep(spec.sweep) for _ in range(spec.replicates)]
+def n_sweep_spec():
+    # the benchmark's n sweep: n in {100, 999, 9999, 100000}, 2 replicates, 73 ms modelled
+    return ExperimentSpec(
+        name="n-sweep", varied="n", sweep=SweepSpec(1e2, 1e5, 4, integral=True),
+        alpha=1.0, beta=5, s=64, replicates=2, master_seed=3,
+    )
+
+
+def task_costs(spec, mode="fast", stride=1):
+    values = log_sweep(spec.sweep)[::stride]
+    return [run_cost_us(spec.params_at(v), mode) for v in values for _ in range(spec.replicates)]
+
+
+def pool_size(spec, workers, mode="fast", stride=1):
+    """The pool size :func:`sweep._pool_size` picks for ``spec``'s runs, 0 for none."""
+    costs = task_costs(spec, mode, stride)
+    return sweep._pool_size(costs, sweep._chunk_plan(costs), workers)
 
 
 @pytest.fixture
@@ -300,12 +316,13 @@ class TestSchedule:
         assert [len(chunk) for chunk in plan] == [200] * 5
         assert plan[0] == list(range(200))
 
-    def test_skewed_records_equal_for_any_worker_count(self):
+    def test_skewed_records_equal_for_any_worker_count(self, real_pool_starts):
         spec = skewed_spec()
-        assert len(sweep._chunk_plan(task_costs(spec))) >= 2
+        assert pool_size(spec, 2) == 2 and pool_size(spec, 3) == 3
         serial = run_experiment(spec, workers=1)
         assert run_experiment(spec, workers=2) == serial
         assert run_experiment(spec, workers=3) == serial
+        assert real_pool_starts == [2, 3]
 
     def test_one_worker_per_chunk_at_most(self, pool_starts):
         spec = skewed_spec()
@@ -316,6 +333,53 @@ class TestSchedule:
     def test_single_chunk_runs_without_a_pool(self, pool_starts):
         assert len(sweep._chunk_plan(task_costs(tiny_spec()))) == 1
         assert run_experiment(tiny_spec(), workers=2) == run_experiment(tiny_spec(), workers=1)
+        assert pool_starts == []
+
+    def test_tiny_sweep_of_two_chunks_runs_without_a_pool(self, pool_starts):
+        # 200 runs of n <= 3, 13 ms modelled in 2 chunks: less than two workers' start-up
+        spec = ExperimentSpec(
+            name="tiny", varied="n", sweep=SweepSpec(1, 3, 4, integral=True),
+            alpha=2.0, beta=3, s=3, replicates=50, master_seed=5,
+        )
+        assert len(sweep._chunk_plan(task_costs(spec))) == 2
+        assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
+        assert pool_starts == []
+
+    def test_n_sweep_takes_the_pool(self, pool_starts):
+        spec = n_sweep_spec()
+        assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
+        assert pool_starts == [2]
+
+    @pytest.mark.parametrize(
+        "name,mode,stride",
+        [(name, "fast", 1) for name in ("alpha", "beta", "s", "n")] + [("alpha", "reference", sweep.REDUCED_STRIDE)],
+    )
+    def test_canonical_sweeps_take_the_pool(self, name, mode, stride):
+        spec = next(spec for spec in canonical_experiments(1) if spec.name == name)
+        assert pool_size(spec, 2, mode, stride) == 2
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=6e4), min_size=1, max_size=60),
+        st.integers(min_value=2, max_value=64),
+    )
+    def test_pool_only_when_it_pays_for_its_start_up(self, costs, workers):
+        plan = sweep._chunk_plan(costs)
+        size = sweep._pool_size(costs, plan, workers)
+        total = sum(costs)
+        largest = max(sum(costs[i] for i in chunk) for chunk in plan)
+        if len(plan) == 1:
+            assert size == 0
+        if size:
+            assert size == min(workers, len(plan))
+            assert sweep._POOL_WORKER_US * size + max(total / size, largest) < total
+        else:
+            k = min(workers, len(plan))
+            assert sweep._POOL_WORKER_US * k + max(total / k, largest) >= total
+
+    def test_unknown_mode_rejected_before_any_run(self, pool_starts):
+        spec = n_sweep_spec()
+        with pytest.raises(InvalidParameterError, match="mode"):
+            run_experiment(spec, mode="Fast", workers=2)
         assert pool_starts == []
 
 
