@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import report
-from .core import make_stream, run
+from .core import MODES, make_stream, run
 from .errors import ConfigError, FilexError
 from .stats import shannon_entropy_bits
 from .sweep import REDUCED_STRIDE, run_experiment
@@ -30,12 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the process once and print its entropy")
     p_run.add_argument("--config", required=True, help="path to a key=value run config")
-    p_run.add_argument("--mode", choices=("reference", "fast"), help="override the config's sampler mode")
+    p_run.add_argument("--mode", choices=MODES, help="override the config's sampler mode")
 
     p_sweep = sub.add_parser("sweep", help="run an experiment and write a records CSV")
     p_sweep.add_argument("--config", required=True, help="path to a key=value experiment config")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--mode", choices=("reference", "fast"), default="fast")
+    p_sweep.add_argument("--mode", choices=MODES, default="fast")
     p_sweep.add_argument("--preset", choices=("full", "reduced"), default="full",
                          help="reduced keeps every 4th sweep point")
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel worker processes")

@@ -30,6 +30,9 @@ RandomStream = np.random.Generator
 
 _MAX_SEED = 2**64
 
+# The samplers, by name.
+MODES = ("reference", "fast")
+
 
 def _check_count(name: str, value, minimum: int, limit: int | None = None) -> int:
     """``value`` as an int in [minimum, limit); bools and non-integers are rejected."""
@@ -54,9 +57,9 @@ def _check_positive(name: str, value) -> float:
 
 
 def _check_mode(mode) -> str:
-    """``mode`` if it names a sampler: "reference" or "fast"."""
-    if mode not in ("reference", "fast"):
-        raise InvalidParameterError(f"mode must be 'reference' or 'fast', got {mode!r}")
+    """``mode`` if it is one of :data:`MODES`."""
+    if mode not in MODES:
+        raise InvalidParameterError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     return mode
 
 
@@ -139,9 +142,14 @@ class Distribution:
         return self.probs.size
 
 
+def _initial_weights(params: ProcessParams) -> np.ndarray:
+    """All ``s`` weights equal to ``alpha / s``: where every run starts."""
+    return np.full(params.s, params.alpha / params.s)
+
+
 def init_weights(params: ProcessParams) -> WeightState:
     """Starting state: all ``s`` weights equal to ``alpha / s``."""
-    return WeightState(np.full(params.s, params.alpha / params.s), 0)
+    return WeightState(_initial_weights(params), 0)
 
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -187,6 +195,14 @@ def _reference_iterate(weights: np.ndarray, beta: int, rng: RandomStream, sink: 
     return new
 
 
+def _reference_run(params: ProcessParams, rng: RandomStream, sink: list | None = None) -> np.ndarray:
+    """Final weights by folding :func:`_reference_iterate`; ``sink``, if given, collects every drawn index."""
+    w = _initial_weights(params)
+    for _ in range(params.n):
+        w = _reference_iterate(w, params.beta, rng, sink)
+    return w
+
+
 def _fast_iterate(weights: np.ndarray, beta: int, rng: RandomStream) -> np.ndarray:
     """One iteration via a single multinomial draw of all beta hit counts.
 
@@ -201,7 +217,7 @@ def _fast_iterate(weights: np.ndarray, beta: int, rng: RandomStream) -> np.ndarr
 
 def _multinomial_run(params: ProcessParams, rng: RandomStream) -> np.ndarray:
     """Final weights by folding :func:`_fast_iterate`: O(n s) time, O(s) memory."""
-    w = np.full(params.s, params.alpha / params.s)
+    w = _initial_weights(params)
     for _ in range(params.n):
         w = _fast_iterate(w, params.beta, rng)
     return w
@@ -229,13 +245,13 @@ def _block_run(params: ProcessParams, rng: RandomStream, block_iterations: int |
     beta draws per block, O(s + B) memory; the default B is about
     ``_BLOCK_DRAWS``.
     """
-    alpha, beta, s, n = params.alpha, params.beta, params.s, params.n
+    alpha, beta, n = params.alpha, params.beta, params.n
     if block_iterations is None:
         block_iterations = max(1, _BLOCK_DRAWS // beta)
     draw = np.arange(min(block_iterations, n) * beta)
     iteration = draw // beta  # of each draw, counted from the block start
     earlier = iteration * beta  # in-block draws made before its iteration
-    w = np.full(s, alpha / s)
+    w = _initial_weights(params)
     for a in range(0, n, block_iterations):
         size = min(block_iterations, n - a) * beta
         start = alpha + a
@@ -274,12 +290,16 @@ _REFERENCE_ITERATION_US = 15.0
 _REFERENCE_DRAW_US = 0.078
 
 
-def _fast_kernel_us(params: ProcessParams) -> dict:
-    """Modelled microseconds of each fast kernel's loop for ``params``, by kernel.
+def _kernel_us(params: ProcessParams, mode: str) -> dict:
+    """Modelled microseconds of the loop of each kernel ``mode`` may run for ``params``, by kernel.
 
-    The multinomial loop comes first, so a tie goes to it.
+    This is the one map from a sampler mode to its kernels. Reference mode has
+    one kernel; in fast mode the multinomial loop comes first, so a tie goes
+    to it.
     """
     n, beta = params.n, params.beta
+    if _check_mode(mode) == "reference":
+        return {_reference_run: n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta)}
     blocks = -(-n // max(1, _BLOCK_DRAWS // beta))
     return {
         _multinomial_run: n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s),
@@ -287,25 +307,20 @@ def _fast_kernel_us(params: ProcessParams) -> dict:
     }
 
 
-def _fast_kernel(params: ProcessParams):
-    """The fast kernel with the lower modelled run time for ``params``."""
-    costs = _fast_kernel_us(params)
+def _kernel(params: ProcessParams, mode: str):
+    """The kernel of ``mode`` with the lowest modelled run time for ``params``."""
+    costs = _kernel_us(params, mode)
     return min(costs, key=costs.get)
 
 
 def run_cost_us(params: ProcessParams, mode: str) -> float:
     """Modelled microseconds of one run of ``params``, stream set-up and entropy included.
 
-    Fast mode costs the cheaper of its two kernels, the one :func:`_fast_kernel`
-    picks; reference mode costs a fixed amount per iteration and per draw.
-    The model depends on ``params`` and ``mode`` alone; another mode is
+    A run costs its fixed part plus the loop of the kernel :func:`_kernel`
+    picks. The model depends on ``params`` and ``mode`` alone; another mode is
     rejected, not priced.
     """
-    if _check_mode(mode) == "fast":
-        loop_us = min(_fast_kernel_us(params).values())
-    else:
-        loop_us = params.n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * params.beta)
-    return _RUN_US + loop_us
+    return _RUN_US + min(_kernel_us(params, mode).values())
 
 
 def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
@@ -329,19 +344,14 @@ def _normalize(weights: np.ndarray) -> Distribution:
 def run(params: ProcessParams, rng: RandomStream, mode: str = "fast") -> Distribution:
     """Run the whole process and return the normalized final distribution.
 
+    Runs the kernel :func:`_kernel` picks for ``params`` and ``mode``.
     ``mode="reference"`` draws every symbol individually and is bit-identical
     to folding :func:`step` over the initial state. ``mode="fast"`` runs the
-    kernel :func:`_fast_kernel` picks for ``params``: the multinomial loop,
-    bit-identical to folding :func:`step_fast`, or the block copy kernel. Both
-    sample the same law, and the pick depends on ``params`` alone, so a run
-    still depends only on its parameters and seed.
+    multinomial loop, bit-identical to folding :func:`step_fast`, or the block
+    copy kernel. All sample the same law, and the pick depends on ``params``
+    and ``mode`` alone, so a run still depends only on its parameters and seed.
     """
-    if _check_mode(mode) == "fast":
-        return _normalize(_fast_kernel(params)(params, rng))
-    w = np.full(params.s, params.alpha / params.s)
-    for _ in range(params.n):
-        w = _reference_iterate(w, params.beta, rng, None)
-    return _normalize(w)
+    return _normalize(_kernel(params, mode)(params, rng))
 
 
 @dataclass(frozen=True)
@@ -366,9 +376,7 @@ def run_traced(params: ProcessParams, rng: RandomStream, increment_scale: float 
     """
     scale = _check_positive("increment_scale", increment_scale)
     sink: list[int] = []
-    w = np.full(params.s, params.alpha / params.s)
-    for _ in range(params.n):
-        w = _reference_iterate(w, params.beta, rng, sink)
+    w = _reference_run(params, rng, sink)
     dist = _normalize(w)
     final = WeightState(w if scale == 1.0 else scale * w, params.n)
     return TraceResult(dist, final, np.asarray(sink, dtype=np.int64))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 from xml.sax.saxutils import escape
 
-from .core import _MAX_SEED, ProcessParams, _check_count, _check_positive
+from .core import _MAX_SEED, ProcessParams, _check_count, _check_mode, _check_positive
 from .errors import ConfigError, CsvFormatError, InvalidInputError, UndefinedCorrelationError
 from .stats import CorrelationResult
 from .sweep import ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, correlate, sweep_axis
@@ -63,10 +63,6 @@ def _parse_typed(key: str, raw: str, kind: str):
             if raw not in ("true", "false"):
                 raise ValueError("expected 'true' or 'false'")
             value = raw == "true"
-        elif kind == "mode":
-            if raw not in ("reference", "fast"):
-                raise ValueError("expected 'reference' or 'fast'")
-            value = raw
         else:
             value = raw
     except ValueError as exc:
@@ -102,7 +98,7 @@ _RUN_SCHEMA = {
     "s": ("int", True),
     "n": ("int", True),
     "seed": ("int", True),
-    "mode": ("mode", False),
+    "mode": ("str", False),
     "show_distribution": ("bool", False),
 }
 
@@ -110,16 +106,13 @@ _RUN_SCHEMA = {
 def run_config_from_mapping(cfg: dict[str, str]) -> RunConfig:
     values = _take(cfg, _RUN_SCHEMA)
     try:
-        params = ProcessParams(values["alpha"], values["beta"], values["s"], values["n"])
-        seed = _check_count("seed", values["seed"], 0, _MAX_SEED)
+        params = ProcessParams(*(values.pop(key) for key in ("alpha", "beta", "s", "n")))
+        values["seed"] = _check_count("seed", values["seed"], 0, _MAX_SEED)
+        if "mode" in values:
+            _check_mode(values["mode"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        params=params,
-        seed=seed,
-        mode=values.get("mode", "fast"),
-        show_distribution=values.get("show_distribution", False),
-    )
+    return RunConfig(params=params, **values)
 
 
 _CANONICAL_SCHEMA = {
@@ -153,25 +146,18 @@ def experiment_config_from_mapping(cfg: dict[str, str], seed_override: int | Non
         raise ConfigError(
             f"invalid value for experiment: {values['experiment']!r} (expected one of {', '.join(CANONICAL_NAMES)})"
         )
-    seed = seed_override if seed_override is not None else values.get("master_seed")
+    seed = values.pop("master_seed", None)
+    if seed_override is not None:
+        seed = seed_override
     if seed is None:
         raise ConfigError("missing key: master_seed")
     try:
         if canonical:
-            spec = next(s for s in canonical_experiments(seed) if s.name == values["experiment"])
-            return dataclasses.replace(spec, replicates=values.get("replicates", spec.replicates))
-        return ExperimentSpec(
-            name=values["name"],
-            varied=values["varied"],
-            sweep=SweepSpec(values["low"], values["high"], values["steps"], values.get("integral", False)),
-            alpha=values.get("alpha"),
-            beta=values.get("beta"),
-            s=values.get("s"),
-            n=values.get("n"),
-            alpha_coupled_to_s=values.get("alpha_coupled_to_s", False),
-            replicates=values.get("replicates", 1),
-            master_seed=seed,
-        )
+            name = values.pop("experiment")
+            spec = next(s for s in canonical_experiments(seed) if s.name == name)
+            return dataclasses.replace(spec, **values)
+        sweep = SweepSpec(**{key: values.pop(key) for key in ("low", "high", "steps", "integral") if key in values})
+        return ExperimentSpec(sweep=sweep, master_seed=seed, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -396,13 +382,16 @@ def write_svg_scatter(path, spec: PlotSpec) -> None:
 
 
 def plot_spec_from_rows(rows: Sequence[CsvRow]) -> PlotSpec:
-    """Plot input from CSV rows, with x as :func:`filex.sweep.sweep_axis` maps it.
+    """Plot input from CSV rows of one swept parameter, with x as :func:`filex.sweep.sweep_axis` maps it.
 
     The y ceiling is the smallest whole bit count covering the data (the CSV
     schema does not carry the lexicon size).
     """
     if not rows:
         raise InvalidInputError("plot requires at least one record")
+    names = sorted({r.param_name for r in rows})
+    if len(names) > 1:
+        raise InvalidInputError(f"plot requires one swept parameter, got {', '.join(names)}")
     label, to_x = sweep_axis(rows[0].param_name)
     points = [(to_x(r.param_value), r.entropy_bits) for r in rows]
     y_max = max(1.0, math.ceil(max(r.entropy_bits for r in rows) - 1e-9))

@@ -84,31 +84,29 @@ def shannon_entropy_bits(dist) -> float:
     return 0.0 if h <= 0.0 else h
 
 
-def _count_inversions(values: list[float]) -> int:
-    """Number of pairs (i < j) with values[i] > values[j], by merge sort."""
-    n = len(values)
-    if n < 2:
-        return 0
-    buf = values
-    tmp = [0.0] * n
+def _count_inversions(values: np.ndarray) -> int:
+    """Number of pairs (i < j) with values[i] > values[j], by a bottom-up merge over dense ranks.
+
+    Each level merges adjacent pairs of sorted runs of ``width`` ranks. The
+    key ``pair * n + rank`` keeps the pairs apart, so one ``searchsorted`` of
+    the right runs' keys into the sorted left runs' keys counts, for every
+    right element, the left elements of its pair that rank strictly above it
+    (equal values are not inversions), and one sort of all keys merges every
+    pair.
+    """
+    n = values.size
+    rank = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    index = np.arange(n)
     count = 0
     width = 1
     while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buf[j] < buf[i]:  # strict: equal values are not inversions
-                    count += mid - i
-                    tmp[k] = buf[j]
-                    j += 1
-                else:
-                    tmp[k] = buf[i]
-                    i += 1
-                k += 1
-            tmp[k:hi] = buf[i:mid] if i < mid else buf[j:hi]
-            buf[lo:hi] = tmp[lo:hi]
+        pair = index // (2 * width)
+        key = pair * n + rank
+        left = index % (2 * width) < width
+        right = ~left
+        # a left run followed by a right run is full, so pairs 0..k hold (k + 1) * width left keys
+        count += int(((pair[right] + 1) * width - np.searchsorted(key[left], key[right], side="right")).sum())
+        rank = np.sort(key) - pair * n
         width *= 2
     return count
 
@@ -147,7 +145,7 @@ def kendall_tau(series: PairedSeries) -> CorrelationResult:
     xtie = sum(t * (t - 1) // 2 for t in tx)
     ytie = sum(t * (t - 1) // 2 for t in ty)
     ntie = sum(t * (t - 1) // 2 for t in _tie_sizes(x_same & (ys[1:] == ys[:-1])))
-    dis = _count_inversions(ys.tolist())
+    dis = _count_inversions(ys)
 
     con_minus_dis = n0 - xtie - ytie + ntie - 2 * dis
     tau = con_minus_dis / math.sqrt((n0 - xtie) * (n0 - ytie))

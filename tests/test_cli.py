@@ -70,6 +70,11 @@ class TestCmdRun:
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be")
 
+    def test_unknown_mode_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", RUN_UNIFORM + "mode = Fast\n")
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: mode must be 'reference' or 'fast', got 'Fast'\n"
+
     def test_mode_flag_overrides(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", RUN_UNIFORM + "mode = fast\n")
         assert main(["run", "--config", cfg, "--mode", "reference"]) == 0
@@ -259,6 +264,15 @@ class TestCmdPlot:
         assert main(["plot", str(csv), "--out", str(s1)]) == 0
         assert main(["plot", str(csv), "--out", str(s2)]) == 0
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_mixed_parameters_exit_1(self, tmp_path, capsys):
+        # an n group must not be drawn on the first row's 1/alpha axis
+        csv = tmp_path / "mixed.csv"
+        csv.write_text("experiment,param_name,param_value,replicate,seed,entropy_bits\n"
+                       "a,alpha,0.01,0,1,2.0\na,alpha,0.1,0,2,3.0\nb,n,100,0,3,2.5\nb,n,1000,0,4,1.5\n")
+        assert main(["plot", str(csv), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == "error: plot requires one swept parameter, got alpha, n\n"
+        assert not (tmp_path / "x.svg").exists()
 
     def test_empty_csv_exits_1(self, tmp_path, capsys):
         csv = tmp_path / "empty.csv"

@@ -13,11 +13,12 @@ from filex.core import (
     WeightState,
     _RUN_US,
     _block_run,
-    _fast_kernel,
-    _fast_kernel_us,
     _inverse_cdf,
     _inverse_cdf_counts,
+    _kernel,
+    _kernel_us,
     _multinomial_run,
+    _reference_run,
     init_weights,
     make_stream,
     run,
@@ -275,7 +276,7 @@ class TestRun:
         # fast mode folds step_fast only where the cost rule keeps the multinomial loop
         params = ProcessParams(0.5, beta, 16, 150)
         if mode == "fast":
-            assert _fast_kernel(params) is _multinomial_run
+            assert _kernel(params, "fast") is _multinomial_run
         dist = run(params, make_stream(17), mode)
         state = init_weights(params)
         rng = make_stream(17)
@@ -315,25 +316,29 @@ class TestRun:
             observed[key] = observed.get(key, 0) + 1
         assert chi2_gof_pvalue(observed, expected, trials) > 0.01
 
-    def test_cost_rule(self):
-        # tiny runs and huge beta stay on the multinomial loop; sweep-sized runs go blockwise
-        for s in (1, 3, 64):
-            for beta in (1, 3, 5, 10):
-                for n in (0, 1, 2, 3):
-                    assert _fast_kernel(ProcessParams(2.0, beta, s, n)) is _multinomial_run
-        assert _fast_kernel(ProcessParams(1e-3, 32768, 64, 10_000)) is _multinomial_run
-        assert _fast_kernel(ProcessParams(1.0, 5, 64, 100_000)) is _block_run
-        # over a grid, the kernel run is the one the cost model rates cheaper,
-        # and fast mode is costed at that kernel
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    def test_cost_rule(self, mode):
+        if mode == "fast":
+            # tiny runs and huge beta stay on the multinomial loop; sweep-sized runs go blockwise
+            for s in (1, 3, 64):
+                for beta in (1, 3, 5, 10):
+                    for n in (0, 1, 2, 3):
+                        assert _kernel(ProcessParams(2.0, beta, s, n), mode) is _multinomial_run
+            assert _kernel(ProcessParams(1e-3, 32768, 64, 10_000), mode) is _multinomial_run
+            assert _kernel(ProcessParams(1.0, 5, 64, 100_000), mode) is _block_run
+        # over a grid, the kernel run is the one the cost model rates cheapest,
+        # and the run is costed at that kernel; reference mode has one kernel
         for alpha in (1e-3, 1.0, 64.0):
             for beta in (1, 5, 100, 186, 187, 1000, 32768):
                 for s in (1, 2, 64, 256, 16384):
                     for n in (0, 1, 6, 7, 100, 10_000, 1_000_000):
                         params = ProcessParams(alpha, beta, s, n)
-                        costs = _fast_kernel_us(params)
-                        kernel = _fast_kernel(params)
+                        costs = _kernel_us(params, mode)
+                        kernel = _kernel(params, mode)
+                        if mode == "reference":
+                            assert kernel is _reference_run
                         assert costs[kernel] == min(costs.values())
-                        assert run_cost_us(params, "fast") == _RUN_US + costs[kernel]
+                        assert run_cost_us(params, mode) == _RUN_US + costs[kernel]
 
     def test_block_kernel_long_copy_chains(self):
         # one block over all four iterations: copies of copies, resolved by pointer jumping

@@ -1,0 +1,94 @@
+"""Byte-identity gate: sha256 digests of outputs that a refactor must not change.
+
+Each digest covers outputs the determinism contract fixes for a given seed:
+the reduced canonical alpha CSV in both modes, ``run`` in both modes and
+``run_traced`` over a small (alpha, beta, s, n) grid, and Kendall tau-b with
+its p-value over random tied series. A change that is meant to alter one of
+them must say so and record the new digest.
+
+The digests were recorded with numpy 2.4. numpy does not promise the same
+variate streams across versions, so on another version the tests skip.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from filex.core import ProcessParams, make_stream, run, run_traced
+from filex.report import records_to_csv
+from filex.stats import PairedSeries, kendall_tau
+from filex.sweep import REDUCED_STRIDE, canonical_experiments, run_experiment
+
+from conftest import MASTER_SEED
+
+RECORDED_NUMPY = "2.4"
+
+pytestmark = pytest.mark.skipif(
+    ".".join(np.__version__.split(".")[:2]) != RECORDED_NUMPY,
+    reason=f"digests recorded with numpy {RECORDED_NUMPY}, running numpy {np.__version__}",
+)
+
+# Covers every kernel: the multinomial loop (small n, large beta), the block
+# copy kernel (long runs, small beta) and the reference loop.
+GRID = [
+    ProcessParams(alpha, beta, s, n)
+    for alpha in (0.01, 1.0, 30.0)
+    for beta in (1, 3, 200)
+    for s in (1, 5, 64)
+    for n in (0, 1, 7, 300)
+]
+
+
+def _sha256(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "mode,digest",
+    [
+        ("fast", "ec639ffeda418238d6aac0fdb681a960e681d0cfa4559dd4c665fd710a6900a1"),
+        ("reference", "294d96a40794ad3c9772086a3be48551ae89b2029a24a0d3b9b3977a55fa201a"),
+    ],
+)
+def test_reduced_canonical_alpha_csv(mode, digest):
+    spec = next(s for s in canonical_experiments(MASTER_SEED) if s.name == "alpha")
+    records = run_experiment(spec, mode=mode, workers=1, stride=REDUCED_STRIDE)
+    assert _sha256(records_to_csv(spec, records).encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "mode,digest",
+    [
+        ("fast", "dca8817d9d3b3dbea80fe69f1f9d1fff3182fd7b58c9015266a944bee27e3715"),
+        ("reference", "bec004aa92f5900446b5843ab075e771064f8c526619644620fc40249b3f4871"),
+    ],
+)
+def test_run_grid(mode, digest):
+    chunks = (run(p, make_stream(seed), mode).probs.tobytes() for seed, p in enumerate(GRID))
+    assert _sha256(*chunks) == digest
+
+
+def test_run_traced_grid():
+    chunks = []
+    for seed, p in enumerate(GRID):
+        result = run_traced(p, make_stream(seed), increment_scale=7.0)
+        chunks += [result.distribution.probs.tobytes(), result.state.weights.tobytes(), result.indices.tobytes()]
+    assert _sha256(*chunks) == "0709b77edf66a4bc58bf2bd45f648b9592b14b88261654f0b6bf71e2531123df"
+
+
+def test_kendall_tau_over_tied_series():
+    rng = np.random.default_rng(MASTER_SEED)
+    chunks = []
+    for _ in range(300):
+        n = int(rng.integers(2, 2000))
+        # few distinct values on each side, so ties are frequent
+        x = rng.integers(0, int(rng.integers(2, 40)), n).astype(float)
+        y = np.round(x * rng.normal(0.0, 1.0) + rng.normal(0.0, 3.0, n))
+        r = kendall_tau(PairedSeries(x, y))
+        chunks.append(struct.pack("<ddq", r.tau, r.p_value, r.n))
+    assert _sha256(*chunks) == "43cc5b28dd6b874f855aaf63e38cdbd6a946130e9ce0541c64c9d05564cca27c"

@@ -10,7 +10,7 @@ from scipy import stats as scipy_stats
 
 from filex.core import Distribution, WeightState
 from filex.errors import InvalidInputError, UndefinedCorrelationError
-from filex.stats import CorrelationResult, PairedSeries, kendall_tau, shannon_entropy_bits
+from filex.stats import CorrelationResult, PairedSeries, _count_inversions, kendall_tau, shannon_entropy_bits
 
 from oracles import brute_force_tau_b
 
@@ -165,10 +165,17 @@ class TestKendallTau:
             return
         assert kendall_tau(PairedSeries(x, y)).tau == brute_force_tau_b(x, y)
 
+    @given(st.lists(st.integers(min_value=0, max_value=6), max_size=70))
+    def test_inversions_match_pair_count(self, values):
+        # every pair (i < j) with values[i] > values[j], by an O(n^2) loop; ties are not inversions
+        expected = sum(a > b for i, a in enumerate(values) for b in values[i + 1:])
+        assert _count_inversions(np.asarray(values, dtype=float)) == expected
+
     def test_matches_scipy_tau_and_asymptotic_p(self):
         rng = np.random.default_rng(3)
-        for trial in range(150):
-            n = int(rng.integers(10, 300))
+        # past n = 300, series of 1000 and 4097 pairs: several merge levels and a ragged last run
+        for trial in range(154):
+            n = int(rng.integers(10, 300)) if trial < 150 else (1000, 4097)[trial % 2]
             x = rng.integers(0, n // 3 + 2, size=n).astype(float) if trial % 2 else rng.normal(size=n)
             y = rng.integers(0, n // 3 + 2, size=n).astype(float) if trial % 3 else rng.normal(size=n)
             if np.all(x == x[0]) or np.all(y == y[0]):
