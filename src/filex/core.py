@@ -290,27 +290,19 @@ _REFERENCE_ITERATION_US = 15.0
 _REFERENCE_DRAW_US = 0.078
 
 
-def _kernel_us(params: ProcessParams, mode: str) -> dict:
-    """Modelled microseconds of the loop of each kernel ``mode`` may run for ``params``, by kernel.
+def _kernel(params: ProcessParams, mode: str) -> tuple:
+    """The kernel of ``mode`` with the lowest modelled loop time for ``params``, and that time in microseconds.
 
-    This is the one map from a sampler mode to its kernels. Reference mode has
-    one kernel; in fast mode the multinomial loop comes first, so a tie goes
-    to it.
+    This is the one map from a sampler mode to its kernels and their prices.
+    Reference mode has one kernel; fast mode picks the multinomial loop or
+    the block copy kernel, and a tie goes to the multinomial loop.
     """
     n, beta = params.n, params.beta
     if _check_mode(mode) == "reference":
-        return {_reference_run: n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta)}
-    blocks = -(-n // max(1, _BLOCK_DRAWS // beta))
-    return {
-        _multinomial_run: n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s),
-        _block_run: blocks * _BLOCK_US + n * beta * _BLOCK_DRAW_US,
-    }
-
-
-def _kernel(params: ProcessParams, mode: str):
-    """The kernel of ``mode`` with the lowest modelled run time for ``params``."""
-    costs = _kernel_us(params, mode)
-    return min(costs, key=costs.get)
+        return _reference_run, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta)
+    multinomial = n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s)
+    block = -(-n // max(1, _BLOCK_DRAWS // beta)) * _BLOCK_US + n * beta * _BLOCK_DRAW_US
+    return (_multinomial_run, multinomial) if multinomial <= block else (_block_run, block)
 
 
 def run_cost_us(params: ProcessParams, mode: str) -> float:
@@ -320,7 +312,7 @@ def run_cost_us(params: ProcessParams, mode: str) -> float:
     picks. The model depends on ``params`` and ``mode`` alone; another mode is
     rejected, not priced.
     """
-    return _RUN_US + min(_kernel_us(params, mode).values())
+    return _RUN_US + _kernel(params, mode)[1]
 
 
 def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
@@ -351,7 +343,8 @@ def run(params: ProcessParams, rng: RandomStream, mode: str = "fast") -> Distrib
     copy kernel. All sample the same law, and the pick depends on ``params``
     and ``mode`` alone, so a run still depends only on its parameters and seed.
     """
-    return _normalize(_kernel(params, mode)(params, rng))
+    kernel, _ = _kernel(params, mode)
+    return _normalize(kernel(params, rng))
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,20 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
+def _read_utf8(path, error) -> str:
+    """The text of the UTF-8 file at ``path``; bytes that do not decode raise ``error(line, message)``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(line, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    text = _read_utf8(path, lambda line, message: ConfigError(f"invalid line {line}: {message}"))
+    return parse_config_text(text)
 
 
 def _parse_typed(key: str, raw: str, kind: str):
@@ -57,8 +68,6 @@ def _parse_typed(key: str, raw: str, kind: str):
             value = int(raw)
         elif kind == "float":
             value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError("not finite")
         elif kind == "bool":
             if raw not in ("true", "false"):
                 raise ValueError("expected 'true' or 'false'")
@@ -221,8 +230,7 @@ def parse_records_csv(text: str) -> list[CsvRow]:
 
 
 def read_records_csv(path) -> list[CsvRow]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_records_csv(fh.read())
+    return parse_records_csv(_read_utf8(path, CsvFormatError))
 
 
 # -- correlation table ------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -49,6 +49,7 @@ class SweepSpec:
         object.__setattr__(self, "steps", _check_count("steps", self.steps, 2))
         object.__setattr__(self, "low", _check_positive("low", self.low))
         object.__setattr__(self, "high", _check_positive("high", self.high))
+        _check_positive("high/low", self.high / self.low)  # else the inner points overflow or vanish
         if self.integral and math.floor(self.low) < 1:
             raise InvalidParameterError(f"integral sweep requires floor(low) >= 1, got low={self.low}")
 
@@ -74,7 +75,9 @@ class ExperimentSpec:
 
     The varied parameter's field must be None. ``alpha_coupled_to_s`` replaces
     a fixed alpha with ``5e-3 * s`` at every point of an s sweep. The name
-    becomes a CSV field, so it may not hold a comma or a line break.
+    becomes a CSV field, so it may not hold a comma or a line break. Every
+    sweep point must make valid :class:`ProcessParams`, so a spec that exists
+    can run.
     """
 
     name: str
@@ -100,15 +103,14 @@ class ExperimentSpec:
                 raise InvalidParameterError("alpha_coupled_to_s is only valid when varying s")
             if self.alpha is not None:
                 raise InvalidParameterError("alpha must be omitted when coupled to s")
-        for field_name in VARIED_NAMES:
-            if field_name == self.varied:
-                continue
-            if field_name == "alpha" and self.alpha_coupled_to_s:
-                continue
-            if getattr(self, field_name) is None:
-                raise InvalidParameterError(f"fixed parameter {field_name!r} is required")
         object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 1))
         object.__setattr__(self, "master_seed", _check_count("master_seed", self.master_seed, 0, _MAX_SEED))
+        # the ends suffice: floored counts lie between them, and (alpha/s)/(alpha+n) is monotone along any sweep
+        for index, value in zip((0, self.sweep.steps - 1), log_sweep(replace(self.sweep, steps=2))):
+            try:
+                self.params_at(value)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"sweep point {index} ({self.varied}={value!r}): {exc}") from exc
 
     @property
     def correlate_inverse(self) -> bool:
@@ -298,12 +300,7 @@ def run_experiment(
     keys = []
     for index in range(0, len(values), stride):
         value = values[index]
-        try:
-            params = spec.params_at(value)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(
-                f"sweep point {index} ({spec.varied}={value!r}): {exc}"
-            ) from exc
+        params = spec.params_at(value)
         for replicate in range(spec.replicates):
             seed = derive_run_seed(spec.master_seed, index, replicate)
             keys.append((value, replicate, seed))

@@ -70,6 +70,12 @@ class TestCmdRun:
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be")
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(RUN_UNIFORM.encode().replace(b"s = 4", b"s = 4\xff"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid line 3: not UTF-8 text")
+
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", RUN_UNIFORM + "mode = Fast\n")
         assert main(["run", "--config", cfg]) == 2
@@ -151,6 +157,25 @@ class TestCmdSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (SWEEP_ALPHA.replace("beta = 2", "beta = 0"), "sweep point 0 (alpha=0.001): beta must be >= 1, got 0"),
+            (
+                "name = b\nvaried = beta\nlow = 2\nhigh = 8\nsteps = 3\nalpha = 1\ns = 4\nn = 5\nmaster_seed = 1\n",
+                "sweep point 0 (beta=2.0): beta must be an integer, got 2.0",
+            ),
+            (SWEEP_MINI.replace("alpha = 0.5", "alpha = inf"), "sweep point 0 (n=2): alpha must be positive and finite, got inf"),
+        ],
+        ids=["zero-beta", "non-integral-beta", "infinite-alpha"],
+    )
+    def test_custom_config_invalid_value_exits_2(self, tmp_path, capsys, config, message):
+        cfg = write(tmp_path / "exp.cfg", config)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_correlate_inverse_key_unknown(self, tmp_path, capsys):
         cfg = write(tmp_path / "exp.cfg", SWEEP_ALPHA + "correlate_inverse = false\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -200,8 +225,9 @@ class TestCmdTable:
 
 
 BAD_VALUE_CSVS = {
-    "zero alpha": "a,alpha,1,0,1,2.0\na,alpha,0,0,2,3.0\n",
-    "infinite entropy": "a,alpha,1,0,1,2.0\na,alpha,2,0,2,inf\n",
+    "zero alpha": b"a,alpha,1,0,1,2.0\na,alpha,0,0,2,3.0\n",
+    "infinite entropy": b"a,alpha,1,0,1,2.0\na,alpha,2,0,2,inf\n",
+    "non-UTF-8 byte": b"a,alpha,1,0,1,2.0\na,alpha,\xff,0,2,3.0\n",
 }
 
 
@@ -209,7 +235,7 @@ BAD_VALUE_CSVS = {
 @pytest.mark.parametrize("body", BAD_VALUE_CSVS.values(), ids=BAD_VALUE_CSVS.keys())
 def test_out_of_range_csv_value_exits_1_with_line(tmp_path, capsys, command, body):
     csv = tmp_path / "bad.csv"
-    csv.write_text("experiment,param_name,param_value,replicate,seed,entropy_bits\n" + body)
+    csv.write_bytes(b"experiment,param_name,param_value,replicate,seed,entropy_bits\n" + body)
     extra = ["--out", str(tmp_path / "x.svg")] if command == "plot" else []
     assert main([command, str(csv), *extra]) == 1
     err = capsys.readouterr().err

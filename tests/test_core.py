@@ -11,12 +11,18 @@ from filex.core import (
     Distribution,
     ProcessParams,
     WeightState,
+    _BLOCK_DRAW_US,
+    _BLOCK_DRAWS,
+    _BLOCK_US,
+    _MULTINOMIAL_ITERATION_US,
+    _MULTINOMIAL_SYMBOL_US,
+    _REFERENCE_DRAW_US,
+    _REFERENCE_ITERATION_US,
     _RUN_US,
     _block_run,
     _inverse_cdf,
     _inverse_cdf_counts,
     _kernel,
-    _kernel_us,
     _multinomial_run,
     _reference_run,
     init_weights,
@@ -276,7 +282,7 @@ class TestRun:
         # fast mode folds step_fast only where the cost rule keeps the multinomial loop
         params = ProcessParams(0.5, beta, 16, 150)
         if mode == "fast":
-            assert _kernel(params, "fast") is _multinomial_run
+            assert _kernel(params, "fast")[0] is _multinomial_run
         dist = run(params, make_stream(17), mode)
         state = init_weights(params)
         rng = make_stream(17)
@@ -323,22 +329,25 @@ class TestRun:
             for s in (1, 3, 64):
                 for beta in (1, 3, 5, 10):
                     for n in (0, 1, 2, 3):
-                        assert _kernel(ProcessParams(2.0, beta, s, n), mode) is _multinomial_run
-            assert _kernel(ProcessParams(1e-3, 32768, 64, 10_000), mode) is _multinomial_run
-            assert _kernel(ProcessParams(1.0, 5, 64, 100_000), mode) is _block_run
-        # over a grid, the kernel run is the one the cost model rates cheapest,
-        # and the run is costed at that kernel; reference mode has one kernel
+                        assert _kernel(ProcessParams(2.0, beta, s, n), mode)[0] is _multinomial_run
+            assert _kernel(ProcessParams(1e-3, 32768, 64, 10_000), mode)[0] is _multinomial_run
+            assert _kernel(ProcessParams(1.0, 5, 64, 100_000), mode)[0] is _block_run
+        # over a grid, the kernel run is the one the cost model rates cheapest (a
+        # tie goes to the multinomial loop), and the run is costed at that kernel
         for alpha in (1e-3, 1.0, 64.0):
             for beta in (1, 5, 100, 186, 187, 1000, 32768):
                 for s in (1, 2, 64, 256, 16384):
                     for n in (0, 1, 6, 7, 100, 10_000, 1_000_000):
                         params = ProcessParams(alpha, beta, s, n)
-                        costs = _kernel_us(params, mode)
-                        kernel = _kernel(params, mode)
                         if mode == "reference":
-                            assert kernel is _reference_run
-                        assert costs[kernel] == min(costs.values())
-                        assert run_cost_us(params, mode) == _RUN_US + costs[kernel]
+                            expected = (_reference_run, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta))
+                        else:
+                            multinomial = n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * s)
+                            blocks = math.ceil(n / max(1, _BLOCK_DRAWS // beta))
+                            block = blocks * _BLOCK_US + n * beta * _BLOCK_DRAW_US
+                            expected = (_multinomial_run, multinomial) if multinomial <= block else (_block_run, block)
+                        assert _kernel(params, mode) == expected
+                        assert run_cost_us(params, mode) == _RUN_US + expected[1]
 
     def test_block_kernel_long_copy_chains(self):
         # one block over all four iterations: copies of copies, resolved by pointer jumping

@@ -1,21 +1,24 @@
 """Byte-identity gate: sha256 digests of outputs that a refactor must not change.
 
 Each digest covers outputs the determinism contract fixes for a given seed:
-the reduced canonical alpha CSV in both modes, ``run`` in both modes and
-``run_traced`` over a small (alpha, beta, s, n) grid, and Kendall tau-b with
-its p-value over random tied series. A change that is meant to alter one of
-them must say so and record the new digest.
+the reduced canonical alpha CSV in both modes, with ``filex table``'s output
+and ``filex plot``'s SVG for it, ``run`` in both modes and ``run_traced`` over
+a small (alpha, beta, s, n) grid, and Kendall tau-b with its p-value over
+random tied series. A change that is meant to alter one of them must say so
+and record the new digest.
 
 The digests were recorded with numpy 2.4. numpy does not promise the same
 variate streams across versions, so on another version the tests skip.
 """
 
+import functools
 import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from filex.cli import main
 from filex.core import ProcessParams, make_stream, run, run_traced
 from filex.report import records_to_csv
 from filex.stats import PairedSeries, kendall_tau
@@ -48,6 +51,12 @@ def _sha256(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def _reduced_alpha_csv(mode: str) -> str:
+    spec = next(s for s in canonical_experiments(MASTER_SEED) if s.name == "alpha")
+    return records_to_csv(spec, run_experiment(spec, mode=mode, workers=1, stride=REDUCED_STRIDE))
+
+
 @pytest.mark.parametrize(
     "mode,digest",
     [
@@ -56,9 +65,32 @@ def _sha256(*chunks: bytes) -> str:
     ],
 )
 def test_reduced_canonical_alpha_csv(mode, digest):
-    spec = next(s for s in canonical_experiments(MASTER_SEED) if s.name == "alpha")
-    records = run_experiment(spec, mode=mode, workers=1, stride=REDUCED_STRIDE)
-    assert _sha256(records_to_csv(spec, records).encode()) == digest
+    assert _sha256(_reduced_alpha_csv(mode).encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "mode,table_digest,svg_digest",
+    [
+        (
+            "fast",
+            "0bd3042e33f7e38ceb85c38d87423d206224df6dddc07d9f2b6297fcb9c60a90",
+            "3688d03c003d38387e039d4c4e9686f976daf1080df8a47b23fd7bbbef95091c",
+        ),
+        (
+            "reference",
+            "fdc9f58c50f019db44967fca794efc3e82fa3c6919d9afcb72e36339ee454904",
+            "f22f14865de48f3a756a699030e394e20b377f217e3d6d36c19445243e18cb54",
+        ),
+    ],
+)
+def test_reduced_canonical_alpha_table_and_plot(tmp_path, capsys, mode, table_digest, svg_digest):
+    csv, svg = tmp_path / "alpha.csv", tmp_path / "alpha.svg"
+    csv.write_text(_reduced_alpha_csv(mode), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["table", str(csv)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == table_digest
+    assert main(["plot", str(csv), "--out", str(svg)]) == 0
+    assert _sha256(svg.read_bytes()) == svg_digest
 
 
 @pytest.mark.parametrize(

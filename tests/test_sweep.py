@@ -46,6 +46,8 @@ class TestSweepSpec:
             dict(low=1.0, high=float("inf"), steps=5),
             dict(low=1.0, high=10.0, steps=True),
             dict(low=1.0, high=10.0, steps=5.0),
+            dict(low=2.2e-309, high=1.0, steps=3),  # high/low overflows: the middle point would be inf
+            dict(low=1e300, high=1e-300, steps=3),  # high/low underflows: the middle point would be 0
         ],
     )
     def test_invalid(self, kwargs):
@@ -101,9 +103,40 @@ class TestExperimentSpec:
                            alpha=1.0, beta=3, s=4, n=10)
 
     def test_fixed_fields_required(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^sweep point 0 \(beta=1\): n must be an integer, got None$"):
             ExperimentSpec(name="x", varied="beta", sweep=SweepSpec(1, 8, 4, integral=True),
                            alpha=1.0, s=4)
+
+    def test_sweep_checked_at_its_last_end(self):
+        # s reaches floor(0.5) = 0 only at the last point
+        with pytest.raises(InvalidParameterError, match=r"^sweep point 2 \(s=0\): s must be >= 1, got 0$"):
+            ExperimentSpec(name="x", varied="s", sweep=SweepSpec(8, 0.5, 3, integral=True),
+                           alpha=1.0, beta=2, n=10)
+        # (alpha/s)/(alpha+n) is subnormal at n = 1 and underflows only at n = 1e20
+        with pytest.raises(InvalidParameterError, match=r"^sweep point 2 \(n=100000000000000000000\): \(alpha/s\)"):
+            ExperimentSpec(name="x", varied="n", sweep=SweepSpec(1, 1e20, 3, integral=True),
+                           alpha=1e-300, beta=2, s=10**10)
+
+    @given(
+        varied=st.sampled_from(["alpha", "beta", "s", "n"]),
+        low=st.floats(1e-310, 1e25),
+        high=st.floats(1e-310, 1e25),
+        steps=st.integers(2, 40),
+        alpha=st.floats(1e-310, 1e3),
+        count=st.integers(1, 10**12),
+        coupled=st.booleans(),
+    )
+    def test_valid_ends_make_every_point_valid(self, varied, low, high, steps, alpha, count, coupled):
+        # the check at the two ends stands for every point of the sweep
+        coupled = coupled and varied == "s"
+        fixed = {"alpha": None if coupled else alpha, "beta": 2, "s": count, "n": count, varied: None}
+        try:
+            sweep_spec = SweepSpec(low, high, steps, integral=varied != "alpha")
+            spec = ExperimentSpec(name="x", varied=varied, sweep=sweep_spec, alpha_coupled_to_s=coupled, **fixed)
+        except InvalidParameterError:
+            return
+        for value in log_sweep(sweep_spec):
+            spec.params_at(value)
 
     def test_coupling_only_when_varying_s(self):
         with pytest.raises(InvalidParameterError):
@@ -230,12 +263,11 @@ class TestRunExperiment:
             assert 0.0 <= record.entropy_bits <= math.log2(8)
 
     def test_invalid_point_tagged(self):
-        spec = ExperimentSpec(
-            name="bad", varied="n", sweep=SweepSpec(1, 10, 4, integral=True),
-            alpha=1.0, beta=3, s=0, master_seed=1,
-        )
         with pytest.raises(InvalidParameterError, match=r"sweep point 0"):
-            run_experiment(spec)
+            ExperimentSpec(
+                name="bad", varied="n", sweep=SweepSpec(1, 10, 4, integral=True),
+                alpha=1.0, beta=3, s=0, master_seed=1,
+            )
 
     @pytest.mark.parametrize("kwargs", [dict(stride=1.5), dict(stride=0), dict(workers=1.5), dict(workers=0)])
     def test_stride_and_workers_must_be_positive_integers(self, kwargs):
