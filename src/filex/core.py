@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -78,6 +79,13 @@ def _check_positive_array(name: str, values) -> np.ndarray:
     return a
 
 
+def _check_sums(probs: np.ndarray) -> None:
+    """Raise unless every row of the 2-d ``probs`` sums to 1 within 1e-12."""
+    for total in np.add.reduce(probs, axis=1).tolist():
+        if abs(total - 1.0) > 1e-12:
+            raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {total!r}")
+
+
 def make_stream(seed: int) -> RandomStream:
     """Create the package's deterministic random stream from a 64-bit seed."""
     return np.random.default_rng(_check_count("seed", seed, 0, _MAX_SEED))
@@ -134,22 +142,24 @@ class Distribution:
 
     def __post_init__(self):
         p = _check_positive_array("probs", self.probs)
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {p.sum()!r}")
+        _check_sums(p[None])
         object.__setattr__(self, "probs", p)
 
     def __len__(self) -> int:
         return self.probs.size
 
 
-def _initial_weights(params: ProcessParams) -> np.ndarray:
-    """All ``s`` weights equal to ``alpha / s``: where every run starts."""
-    return np.full(params.s, params.alpha / params.s)
+def _initial_weights(rows: Sequence[ProcessParams]) -> np.ndarray:
+    """One row per run, all ``s`` weights of the row equal to its ``alpha / s``: where every run starts."""
+    s = rows[0].s
+    weights = np.empty((len(rows), s))
+    weights.T[:] = [p.alpha / s for p in rows]
+    return weights
 
 
 def init_weights(params: ProcessParams) -> WeightState:
     """Starting state: all ``s`` weights equal to ``alpha / s``."""
-    return WeightState(_initial_weights(params), 0)
+    return WeightState(_initial_weights([params])[0], 0)
 
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -179,57 +189,90 @@ def _inverse_cdf_counts(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.diff(below, prepend=0)
 
 
-def _reference_iterate(weights: np.ndarray, beta: int, rng: RandomStream, sink: list | None = None) -> np.ndarray:
-    """One iteration via per-draw inverse-CDF sampling from the frozen weights.
+# The kernels below run R runs that share beta, s and n, the parameters a
+# kernel's pick and price depend on, as the R rows of one (R, s) weight array.
+# Alpha may differ per row, and row r draws only from ``rngs[r]``, in the
+# order a run of its own would, so each row is bit-identical to a run alone.
+# Row-wise sums, prefix sums and divisions along axis 1 round exactly as the
+# same operations on each row alone do. The row code calls ``np.add.reduce``,
+# ``np.add.accumulate`` and ``ndarray.searchsorted``: the very computations of
+# ``ndarray.sum``, ``np.cumsum`` and ``np.searchsorted`` without their
+# Python-level dispatch, which costs more than the work on a small array.
 
-    All beta variates map through the prefix sums of the iteration-start
-    weights, so every draw sees the same distribution. ``np.add.at`` applies
-    the increments one at a time in draw order, the arithmetic of a per-draw
-    loop.
-    """
-    idx = _inverse_cdf(weights, rng.random(beta))
-    new = weights.copy()
-    np.add.at(new, idx, 1.0 / beta)
-    if sink is not None:
-        sink.extend(idx.tolist())
-    return new
-
-
-def _reference_run(params: ProcessParams, rng: RandomStream, sink: list | None = None) -> np.ndarray:
-    """Final weights by folding :func:`_reference_iterate`; ``sink``, if given, collects every drawn index."""
-    w = _initial_weights(params)
-    for _ in range(params.n):
-        w = _reference_iterate(w, params.beta, rng, sink)
-    return w
-
-
-def _fast_iterate(weights: np.ndarray, beta: int, rng: RandomStream) -> np.ndarray:
-    """One iteration via a single multinomial draw of all beta hit counts.
-
-    The frozen-copy draws are i.i.d., so their histogram is multinomial with
-    the iteration-start probabilities; adding counts/beta reproduces the
-    reference increment distribution exactly at O(s) cost per iteration.
-    """
-    probs = weights / weights.sum()
-    counts = rng.multinomial(beta, probs)
-    return weights + counts / beta
-
-
-def _multinomial_run(params: ProcessParams, rng: RandomStream) -> np.ndarray:
-    """Final weights by folding :func:`_fast_iterate`: O(n s) time, O(s) memory."""
-    w = _initial_weights(params)
-    for _ in range(params.n):
-        w = _fast_iterate(w, params.beta, rng)
-    return w
-
-
-# Draws per block of the copy kernel: enough to spread its fixed numpy cost
-# over many iterations, few enough to keep its arrays small.
+# Draws per block of the copy kernel, and per block of the reference kernel
+# over all its rows: enough to spread the fixed numpy cost over many
+# iterations, few enough to keep the arrays small.
 _BLOCK_DRAWS = 4096
 
 
-def _block_run(params: ProcessParams, rng: RandomStream, block_iterations: int | None = None) -> np.ndarray:
-    """Final weights by the urn's copy form, ``block_iterations`` iterations at a time.
+def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], sink: list | None = None) -> np.ndarray:
+    """Final weights by per-draw inverse-CDF sampling from each iteration's frozen weights.
+
+    Each draw of row r picks the first index whose inclusive prefix sum of the
+    row's iteration-start weights exceeds ``u * total``, as a linear scan
+    would, so every draw sees the same distribution, and ``np.add.at`` applies
+    the increments one at a time in each row's draw order, the arithmetic of
+    a per-draw loop: row r equals folding :func:`step` from its initial
+    weights. Each row draws its variates a block of iterations at a time (one
+    ``rng.random(k*beta)`` gives the doubles of k calls of
+    ``rng.random(beta)``), about ``_BLOCK_DRAWS`` variates over all rows per
+    block and never more than one iteration's R*beta beyond that. ``sink``,
+    if given, receives each iteration's drawn flat indices ``r*s + idx``,
+    row by row.
+    """
+    beta, s, n = rows[0].beta, rows[0].s, rows[0].n
+    w = _initial_weights(rows)
+    flat = w.reshape(-1)
+    # One search serves every row: numpy orders complex numbers by real part,
+    # then imaginary part, so keys r + 1j*cdf[r] are sorted row after row, and
+    # the target r + 1j*(u*total) of a row-r draw compares with row r's keys
+    # exactly as u*total with cdf[r] and falls past all earlier rows' keys:
+    # its position is r*s plus the index a search in row r alone gives.
+    row = np.arange(len(rows), dtype=np.complex128)[:, None]
+    keys, targets = row.repeat(s, axis=1), row.repeat(beta, axis=1)
+    cdf, total, target_values = keys.imag, keys.imag[:, -1:], targets.imag
+    keys, targets = keys.reshape(-1), targets.reshape(-1)
+    increment = 1.0 / beta
+    block = max(1, _BLOCK_DRAWS // (beta * len(rows)))
+    for a in range(0, n, block):
+        size = min(block, n - a)
+        u = np.array([rng.random(size * beta) for rng in rngs]).reshape(len(rows), size, beta)
+        for j in range(size):
+            np.add.accumulate(w, axis=1, out=cdf)
+            np.multiply(u[:, j], total, out=target_values)
+            # An infinite last prefix sum keeps a target that reaches the
+            # total (u = 1, or rounding) on the row's last index: a clamp.
+            total.fill(np.inf)
+            idx = keys.searchsorted(targets, side="right")
+            if sink is not None:
+                sink.append(idx)
+            np.add.at(flat, idx, increment)
+    return w
+
+
+def _multinomial_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream]) -> np.ndarray:
+    """Final weights by one multinomial draw of each row's beta hit counts per iteration.
+
+    The frozen-copy draws are i.i.d., so their histogram is multinomial with
+    the iteration-start probabilities; adding counts/beta reproduces the
+    reference increment distribution exactly at O(s) cost per row and
+    iteration, and row r equals folding :func:`step_fast`. All rows are
+    normalized at once; each row's counts are drawn from its stream and added
+    to its weights in place. O(n R s) time, O(R s) memory.
+    """
+    beta, n = rows[0].beta, rows[0].n
+    w = _initial_weights(rows)
+    probs = np.empty_like(w)
+    draws = list(zip(rngs, probs, w))  # each row's stream and views
+    for _ in range(n):
+        np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=probs)
+        for rng, p, weights in draws:
+            weights += rng.multinomial(beta, p) / beta
+    return w
+
+
+def _block_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], block_iterations: int | None = None) -> np.ndarray:
+    """Final weights by the urn's copy form, ``block_iterations`` iterations at a time, row by row.
 
     The frozen weights of iteration j are alpha/s per symbol plus 1/beta per
     earlier draw, so each of its draws is, with probability alpha/(alpha + j),
@@ -241,31 +284,32 @@ def _block_run(params: ProcessParams, rng: RandomStream, block_iterations: int |
     the draw copies the in-block draw at offset floor((x - alpha - a)*beta),
     which lies in an earlier iteration. Pointer jumping resolves every copy to
     the draw it descends from, and the block's hits are added at once.
-    O(n beta log B + s n / block_iterations) time for B = block_iterations
-    beta draws per block, O(s + B) memory; the default B is about
-    ``_BLOCK_DRAWS``.
+    O(n beta log B + s n / block_iterations) time per row for B =
+    block_iterations beta draws per block, O(R s + B) memory; the default B
+    is about ``_BLOCK_DRAWS``.
     """
-    alpha, beta, n = params.alpha, params.beta, params.n
+    beta, n = rows[0].beta, rows[0].n
     if block_iterations is None:
         block_iterations = max(1, _BLOCK_DRAWS // beta)
     draw = np.arange(min(block_iterations, n) * beta)
     iteration = draw // beta  # of each draw, counted from the block start
     earlier = iteration * beta  # in-block draws made before its iteration
-    w = _initial_weights(params)
-    for a in range(0, n, block_iterations):
-        size = min(block_iterations, n - a) * beta
-        start = alpha + a
-        x = rng.random(size) * (start + iteration[:size])
-        # rounding can carry the offset into the draw's own iteration: clamp it
-        source = np.minimum(np.floor((x - start) * beta), earlier[:size] - 1).astype(np.intp)
-        source = np.where(source < 0, draw[:size], source)
-        while True:
-            jumped = source[source]
-            if np.array_equal(jumped, source):
-                break
-            source = jumped
-        # every draw takes the symbol its source picks from the block-start weights
-        w = w + _inverse_cdf_counts(w, x[source] / start) / beta
+    w = _initial_weights(rows)
+    for r, rng in enumerate(rngs):
+        for a in range(0, n, block_iterations):
+            size = min(block_iterations, n - a) * beta
+            start = rows[r].alpha + a
+            x = rng.random(size) * (start + iteration[:size])
+            # rounding can carry the offset into the draw's own iteration: clamp it
+            source = np.minimum(np.floor((x - start) * beta), earlier[:size] - 1).astype(np.intp)
+            source = np.where(source < 0, draw[:size], source)
+            while True:
+                jumped = source[source]
+                if np.array_equal(jumped, source):
+                    break
+                source = jumped
+            # every draw takes the symbol its source picks from the block-start weights
+            w[r] += _inverse_cdf_counts(w[r], x[source] / start) / beta
     return w
 
 
@@ -295,14 +339,16 @@ def _kernel(params: ProcessParams, mode: str) -> tuple:
 
     This is the one map from a sampler mode to its kernels and their prices.
     Reference mode has one kernel; fast mode picks the multinomial loop or
-    the block copy kernel, and a tie goes to the multinomial loop.
+    the block copy kernel, and a tie goes to the multinomial loop. The pick
+    and the price depend on mode, beta, s and n only, never on alpha, so runs
+    that share these share a kernel and can run as its rows.
     """
     n, beta = params.n, params.beta
     if _check_mode(mode) == "reference":
-        return _reference_run, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta)
+        return _reference_rows, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta)
     multinomial = n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s)
     block = -(-n // max(1, _BLOCK_DRAWS // beta)) * _BLOCK_US + n * beta * _BLOCK_DRAW_US
-    return (_multinomial_run, multinomial) if multinomial <= block else (_block_run, block)
+    return (_multinomial_rows, multinomial) if multinomial <= block else (_block_rows, block)
 
 
 def run_cost_us(params: ProcessParams, mode: str) -> float:
@@ -316,35 +362,65 @@ def run_cost_us(params: ProcessParams, mode: str) -> float:
 
 
 def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
-    """Advance one iteration with the reference per-draw sampler."""
+    """Advance one iteration with the reference per-draw sampler.
+
+    All beta variates map through the prefix sums of the iteration-start
+    weights, so every draw sees the same distribution, and ``np.add.at``
+    applies the increments one at a time in draw order. Folding it is the
+    one-run oracle of the reference kernel.
+    """
     beta = _check_count("beta", beta, 1)
-    return WeightState(_reference_iterate(state.weights, beta, rng), state.iteration + 1)
+    idx = _inverse_cdf(state.weights, rng.random(beta))
+    weights = state.weights.copy()
+    np.add.at(weights, idx, 1.0 / beta)
+    return WeightState(weights, state.iteration + 1)
 
 
 def step_fast(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
-    """Advance one iteration with the multinomial fast path."""
+    """Advance one iteration with one multinomial draw of all beta hit counts.
+
+    Folding it is the one-run oracle of the multinomial loop.
+    """
     beta = _check_count("beta", beta, 1)
-    return WeightState(_fast_iterate(state.weights, beta, rng), state.iteration + 1)
+    weights = state.weights
+    counts = rng.multinomial(beta, weights / weights.sum())
+    return WeightState(weights + counts / beta, state.iteration + 1)
 
 
-def _normalize(weights: np.ndarray) -> Distribution:
-    # The floating sum tracks alpha + n to ~1e-12 relative; dividing by it
-    # keeps the output summing to 1 within a few ulp for any run length.
-    return Distribution(weights / weights.sum())
+def _normalize(weights: np.ndarray) -> np.ndarray:
+    """Each row of ``weights`` divided by its sum.
+
+    The floating sum tracks alpha + n to ~1e-12 relative; dividing by it
+    keeps each row summing to 1 within a few ulp for any run length.
+    """
+    return weights / np.add.reduce(weights, axis=1, keepdims=True)
 
 
 def run(params: ProcessParams, rng: RandomStream, mode: str = "fast") -> Distribution:
     """Run the whole process and return the normalized final distribution.
 
-    Runs the kernel :func:`_kernel` picks for ``params`` and ``mode``.
-    ``mode="reference"`` draws every symbol individually and is bit-identical
+    Runs the kernel :func:`_kernel` picks for ``params`` and ``mode``, as its
+    one row. ``mode="reference"`` draws every symbol individually and is bit-identical
     to folding :func:`step` over the initial state. ``mode="fast"`` runs the
     multinomial loop, bit-identical to folding :func:`step_fast`, or the block
     copy kernel. All sample the same law, and the pick depends on ``params``
     and ``mode`` alone, so a run still depends only on its parameters and seed.
     """
     kernel, _ = _kernel(params, mode)
-    return _normalize(kernel(params, rng))
+    return Distribution(_normalize(kernel([params], [rng]))[0])
+
+
+def _run_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], mode: str) -> np.ndarray:
+    """Final distributions of runs that share ``mode``, beta, s and n, as the rows of one kernel call.
+
+    Row r is ``run(rows[r], rngs[r], mode).probs`` bit for bit, and every row
+    is checked as :class:`Distribution` checks one, all rows at once.
+    """
+    kernel, _ = _kernel(rows[0], mode)
+    probs = _normalize(kernel(rows, rngs))
+    _check_positive_array("probs", probs.reshape(-1))
+    _check_sums(probs)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -368,8 +444,8 @@ def run_traced(params: ProcessParams, rng: RandomStream, increment_scale: float 
     seeds give bit-identical traces and distributions for any scale.
     """
     scale = _check_positive("increment_scale", increment_scale)
-    sink: list[int] = []
-    w = _reference_run(params, rng, sink)
-    dist = _normalize(w)
-    final = WeightState(w if scale == 1.0 else scale * w, params.n)
-    return TraceResult(dist, final, np.asarray(sink, dtype=np.int64))
+    sink: list[np.ndarray] = []
+    w = _reference_rows([params], [rng], sink)
+    dist = Distribution(_normalize(w)[0])
+    final = WeightState(w[0] if scale == 1.0 else scale * w[0], params.n)
+    return TraceResult(dist, final, np.array(sink, dtype=np.int64).reshape(-1))

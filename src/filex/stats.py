@@ -78,10 +78,19 @@ def shannon_entropy_bits(dist) -> float:
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise InvalidInputError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOLERANCE}")
     positive = probs[probs > 0.0]
-    h = float(-(positive * np.log2(positive)).sum())
+    return float(_entropy_bits_rows(positive[None])[0])
+
+
+def _entropy_bits_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy, in bits, of each row of a 2-d array of positive probabilities.
+
+    Row-wise products and sums along axis 1 round exactly as on each row
+    alone, so a row's entropy does not depend on the rows beside it.
+    """
+    h = -(probs * np.log2(probs)).sum(axis=1)
     # A probability can sit one ulp above 1 after normalization; clamp the
     # resulting -1e-16-ish entropy (or a degenerate -0.0) to the bound.
-    return 0.0 if h <= 0.0 else h
+    return np.where(h <= 0.0, 0.0, h)
 
 
 def _count_inversions(values: np.ndarray) -> int:

@@ -1,8 +1,8 @@
 """Logarithmic hyperparameter sweeps and the four canonical entropy experiments.
 
 A sweep point i of an n-step sweep from ``low`` to ``high`` takes the value
-``low * (high/low) ** (i / (n - 1))``, floored when the hyperparameter is
-integer-valued. Each (point, replicate) pair derives its own 64-bit seed from
+``low * (high/low) ** (i / (n - 1))``, floored exactly when the hyperparameter
+is integer-valued. Each (point, replicate) pair derives its own 64-bit seed from
 the experiment's master seed, so runs are independent tasks whose results do
 not depend on worker count or scheduling.
 """
@@ -20,12 +20,12 @@ from .core import (
     _check_count,
     _check_mode,
     _check_positive,
+    _run_rows,
     make_stream,
-    run,
     run_cost_us,
 )
 from .errors import InvalidParameterError
-from .stats import CorrelationResult, PairedSeries, kendall_tau, shannon_entropy_bits
+from .stats import CorrelationResult, PairedSeries, _entropy_bits_rows, kendall_tau
 
 VARIED_NAMES = ("alpha", "beta", "s", "n")
 
@@ -57,7 +57,8 @@ class SweepSpec:
 def log_sweep(spec: SweepSpec) -> list:
     """Evaluate the sweep; endpoints are exactly ``low`` and ``high``.
 
-    Integral sweeps floor every value and keep duplicates.
+    Integral sweeps take the exact floor of every value (:func:`_exact_floor`)
+    and keep duplicates.
     """
     n = spec.steps
     ratio = spec.high / spec.low
@@ -65,8 +66,29 @@ def log_sweep(spec: SweepSpec) -> list:
     values[0] = spec.low
     values[-1] = spec.high
     if spec.integral:
-        return [math.floor(v) for v in values]
+        return [_exact_floor(spec.low, spec.high, i, n - 1, v) for i, v in enumerate(values)]
     return values
+
+
+def _exact_floor(low: float, high: float, i: int, last: int, value: float) -> int:
+    """The floor of ``low**((last - i)/last) * high**(i/last)``, whose float estimate is ``value``.
+
+    The float estimate can round across an integer: ``64 ** (2/6)`` gives
+    3.9999999999999996. Its relative error is far below 1e-9, so the floor
+    lies in [lo, hi], the floors of ``value`` -/+ a relative 1e-9; when they
+    differ, a bisection there finds the largest m with
+    ``m**last <= low**(last - i) * high**i``, compared exactly in integers
+    through each float's ratio num/den.
+    """
+    slack = 1e-9 * value
+    lo, hi = math.floor(value - slack), math.floor(value + slack)
+    if lo < hi:
+        (a, b), (c, d) = low.as_integer_ratio(), high.as_integer_ratio()
+        num, den = a ** (last - i) * c**i, b ** (last - i) * d**i
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid**last * den <= num else (lo, mid - 1)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -195,14 +217,36 @@ def derive_run_seed(master_seed: int, point_index: int, replicate: int) -> int:
     return h
 
 
-def _entropy_task(task: tuple[ProcessParams, int, str]) -> float:
-    params, seed, mode = task
-    return shannon_entropy_bits(run(params, make_stream(seed), mode))
+# Numbers per iteration, weights (s per row) plus draws (beta per row), that
+# one kernel call over a group's rows may hold. A larger group is cut into
+# calls of fewer rows, so a call's arrays and streams stay small at any s,
+# beta or replicate count, while a group of a few hundred tiny runs still
+# shares one call.
+_ROW_NUMBERS = 1 << 12
 
 
 def _entropy_chunk(tasks: list[tuple[ProcessParams, int, str]]) -> list[float]:
-    """Entropies of several tasks, run in order: one pool call for all of them."""
-    return [_entropy_task(t) for t in tasks]
+    """Entropies of several tasks, in task order: one pool call for all of them.
+
+    Tasks that share (mode, beta, s, n) share a kernel, so each such group
+    runs as the rows of one kernel call, at most ``_ROW_NUMBERS // (s + beta)``
+    rows at a time, with normalization, checks and entropy done once per call.
+    Each row draws only from its own task's stream, so every entropy equals
+    that of its task run alone, ``shannon_entropy_bits(run(params,
+    make_stream(seed), mode))``.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (params, _, mode) in enumerate(tasks):
+        groups.setdefault((mode, params.beta, params.s, params.n), []).append(i)
+    entropies = [0.0] * len(tasks)
+    for (mode, beta, s, _), members in groups.items():
+        rows = max(1, _ROW_NUMBERS // (s + beta))
+        for start in range(0, len(members), rows):
+            call = members[start : start + rows]
+            probs = _run_rows([tasks[i][0] for i in call], [make_stream(tasks[i][1]) for i in call], mode)
+            for i, entropy in zip(call, _entropy_bits_rows(probs).tolist()):
+                entropies[i] = entropy
+    return entropies
 
 
 # Modelled work per pool call. One call costs about 0.6 ms of IPC and

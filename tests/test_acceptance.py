@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from filex.core import ProcessParams, _block_run, init_weights, make_stream, run, run_traced, step, step_fast
+from filex.core import ProcessParams, _block_rows, init_weights, make_stream, run, run_traced, step, step_fast
 from filex.report import (
     correlation_table_from_rows,
     parse_records_csv,
@@ -247,7 +247,7 @@ def test_criterion_4_fast_path_equivalence():
                 assert p_value > 0.01, f"chi-square rejects fast path at s={s}, beta={beta}, n={n}: p={p_value:.4f}"
                 for block in range(1, n + 1):
                     observed = _outcome_counts(
-                        lambda params, rng: _block_run(params, rng, block),
+                        lambda params, rng: _block_rows([params], [rng], block)[0],
                         alpha, beta, s, n, block_samples, MASTER_SEED + 5000 + block * 1000 + s * 100 + beta * 10 + n,
                     )
                     p_value = chi2_gof_pvalue(observed, expected, block_samples)

@@ -19,12 +19,12 @@ from filex.core import (
     _REFERENCE_DRAW_US,
     _REFERENCE_ITERATION_US,
     _RUN_US,
-    _block_run,
+    _block_rows,
     _inverse_cdf,
     _inverse_cdf_counts,
     _kernel,
-    _multinomial_run,
-    _reference_run,
+    _multinomial_rows,
+    _reference_rows,
     init_weights,
     make_stream,
     run,
@@ -142,6 +142,17 @@ class TestSampleCategorical:
         total = np.cumsum(w)[-1]
         assert u[0] * total < total == u[1] * total
         assert _inverse_cdf(w, u).tolist() == [2, 2]
+
+    def test_u_one_clamped_in_every_row(self):
+        # the reference kernel clamps each row's u = 1 draws to that row's last symbol
+        class ClosedEnd:
+            def random(self, size):
+                return np.ones(size)
+
+        rows = [ProcessParams(alpha, 2, 3, 4) for alpha in (1.0, 3.0)]
+        w = _reference_rows(rows, [ClosedEnd(), ClosedEnd()])
+        assert np.array_equal(w[:, :2], [[1 / 3] * 2, [1.0] * 2])
+        assert np.array_equal(w[:, 2], [1 / 3 + 4, 1.0 + 4])
 
     def test_single_category(self):
         assert _inverse_cdf(np.array([5.0]), make_stream(0).random(50)).tolist() == [0] * 50
@@ -282,7 +293,7 @@ class TestRun:
         # fast mode folds step_fast only where the cost rule keeps the multinomial loop
         params = ProcessParams(0.5, beta, 16, 150)
         if mode == "fast":
-            assert _kernel(params, "fast")[0] is _multinomial_run
+            assert _kernel(params, "fast")[0] is _multinomial_rows
         dist = run(params, make_stream(17), mode)
         state = init_weights(params)
         rng = make_stream(17)
@@ -329,9 +340,9 @@ class TestRun:
             for s in (1, 3, 64):
                 for beta in (1, 3, 5, 10):
                     for n in (0, 1, 2, 3):
-                        assert _kernel(ProcessParams(2.0, beta, s, n), mode)[0] is _multinomial_run
-            assert _kernel(ProcessParams(1e-3, 32768, 64, 10_000), mode)[0] is _multinomial_run
-            assert _kernel(ProcessParams(1.0, 5, 64, 100_000), mode)[0] is _block_run
+                        assert _kernel(ProcessParams(2.0, beta, s, n), mode)[0] is _multinomial_rows
+            assert _kernel(ProcessParams(1e-3, 32768, 64, 10_000), mode)[0] is _multinomial_rows
+            assert _kernel(ProcessParams(1.0, 5, 64, 100_000), mode)[0] is _block_rows
         # over a grid, the kernel run is the one the cost model rates cheapest (a
         # tie goes to the multinomial loop), and the run is costed at that kernel
         for alpha in (1e-3, 1.0, 64.0):
@@ -340,12 +351,12 @@ class TestRun:
                     for n in (0, 1, 6, 7, 100, 10_000, 1_000_000):
                         params = ProcessParams(alpha, beta, s, n)
                         if mode == "reference":
-                            expected = (_reference_run, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta))
+                            expected = (_reference_rows, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta))
                         else:
                             multinomial = n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * s)
                             blocks = math.ceil(n / max(1, _BLOCK_DRAWS // beta))
                             block = blocks * _BLOCK_US + n * beta * _BLOCK_DRAW_US
-                            expected = (_multinomial_run, multinomial) if multinomial <= block else (_block_run, block)
+                            expected = (_multinomial_rows, multinomial) if multinomial <= block else (_block_rows, block)
                         assert _kernel(params, mode) == expected
                         assert run_cost_us(params, mode) == _RUN_US + expected[1]
 
@@ -358,10 +369,40 @@ class TestRun:
         observed = {}
         trials = 30_000
         for _ in range(trials):
-            w = _block_run(params, rng, n)
+            w = _block_rows([params], [rng], n)[0]
             key = recover_hit_counts(w / w.sum(), alpha, beta, s, n)
             observed[key] = observed.get(key, 0) + 1
         assert chi2_gof_pvalue(observed, expected, trials) > 0.01
+
+
+class RecordingStream:
+    """A stream that logs the size of each of its ``random`` calls."""
+
+    def __init__(self, seed):
+        self.rng = make_stream(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize(
+    "rows,beta,n",
+    [(200, 10, 30), (3, 2000, 4), (1, 10, 1000), (7, 1, 2000)],
+    ids=["alpha-sweep-rows", "large-beta", "one-row", "beta-1"],
+)
+def test_reference_block_draws_bounded(rows, beta, n):
+    """One reference block draws at most max(R*beta, _BLOCK_DRAWS) variates over its R rows."""
+    params = [ProcessParams(0.01 * (r + 1), beta, 64, n) for r in range(rows)]
+    streams = [RecordingStream(r) for r in range(rows)]
+    w = _reference_rows(params, streams)
+    blocks = list(zip(*(stream.sizes for stream in streams)))  # the r-th call of every row's stream
+    assert all(len(stream.sizes) == len(blocks) for stream in streams)
+    assert all(sum(block) <= max(rows * beta, _BLOCK_DRAWS) for block in blocks)
+    assert all(sum(stream.sizes) == n * beta for stream in streams)
+    for r in (0, rows - 1):  # the recorded streams gave each row its own run's variates
+        assert np.array_equal(w[r], _reference_rows([params[r]], [make_stream(r)])[0])
 
 
 # Sweep-size points beyond exact enumeration: (alpha, beta, s, n).
@@ -374,8 +415,8 @@ SWEEP_SIZE_ALPHA = 1e-4
 # (params, rng) -> final weights, up to a common factor
 SAMPLERS = {
     "reference": lambda params, rng: run(params, rng, "reference").probs,
-    "multinomial": _multinomial_run,
-    "block": _block_run,
+    "multinomial": lambda params, rng: _multinomial_rows([params], [rng])[0],
+    "block": lambda params, rng: _block_rows([params], [rng])[0],
 }
 
 

@@ -2,9 +2,10 @@
 
 Each digest covers outputs the determinism contract fixes for a given seed:
 the reduced canonical alpha CSV in both modes, with ``filex table``'s output
-and ``filex plot``'s SVG for it, ``run`` in both modes and ``run_traced`` over
-a small (alpha, beta, s, n) grid, and Kendall tau-b with its p-value over
-random tied series. A change that is meant to alter one of them must say so
+and ``filex plot``'s SVG for it, two multi-replicate sweep CSVs whose runs
+share a kernel shape, ``run`` in both modes and ``run_traced`` over a small
+(alpha, beta, s, n) grid, and Kendall tau-b with its p-value over random tied
+series. A change that is meant to alter one of them must say so
 and record the new digest.
 
 The digests were recorded with numpy 2.4. numpy does not promise the same
@@ -22,7 +23,7 @@ from filex.cli import main
 from filex.core import ProcessParams, make_stream, run, run_traced
 from filex.report import records_to_csv
 from filex.stats import PairedSeries, kendall_tau
-from filex.sweep import REDUCED_STRIDE, canonical_experiments, run_experiment
+from filex.sweep import REDUCED_STRIDE, ExperimentSpec, SweepSpec, canonical_experiments, run_experiment
 
 from conftest import MASTER_SEED
 
@@ -91,6 +92,33 @@ def test_reduced_canonical_alpha_table_and_plot(tmp_path, capsys, mode, table_di
     assert _sha256(capsys.readouterr().out.encode()) == table_digest
     assert main(["plot", str(csv), "--out", str(svg)]) == 0
     assert _sha256(svg.read_bytes()) == svg_digest
+
+
+# Sweeps of many runs per (mode, beta, s, n): 50 replicates of the tiny runs
+# (n = 1, 1, 2, 3), and a reference alpha sweep with 3 replicates per point.
+TINY_REPLICATED = ExperimentSpec(
+    name="tiny", varied="n", sweep=SweepSpec(1, 3, 4, integral=True),
+    alpha=2.0, beta=3, s=3, replicates=50, master_seed=MASTER_SEED,
+)
+ALPHA_REPLICATED = ExperimentSpec(
+    name="alpha-reps", varied="alpha", sweep=SweepSpec(1e-4, 1e-1, 20),
+    beta=10, s=64, n=50, replicates=3, master_seed=MASTER_SEED,
+)
+
+
+@pytest.mark.parametrize(
+    "spec,mode,digest",
+    [
+        (TINY_REPLICATED, "fast", "735751bd93a4dc49e8cd5051d1f95394759f83796485f8063eec85e86fd47ab7"),
+        (TINY_REPLICATED, "reference", "75ddeed71c3cc4ce010316e2ae592b657886079504dda5e24982f31231cef76d"),
+        (ALPHA_REPLICATED, "reference", "fcf826edc565d54f3fa71837c3f889d0c0ee383e06611d4eb08c31c9afbfd461"),
+    ],
+    ids=["tiny-fast", "tiny-reference", "alpha-reference"],
+)
+def test_replicated_sweep_csv(spec, mode, digest):
+    for workers in (1, 2):
+        csv = records_to_csv(spec, run_experiment(spec, mode=mode, workers=workers))
+        assert _sha256(csv.encode()) == digest, f"workers={workers}"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filex import sweep
-from filex.core import ProcessParams, make_stream, run, run_cost_us
+from filex.core import ProcessParams, _block_rows, _kernel, init_weights, make_stream, run, run_cost_us, step, step_fast
 from filex.errors import InvalidParameterError, UndefinedCorrelationError
 from filex.stats import PairedSeries, kendall_tau, shannon_entropy_bits
 from filex.sweep import (
@@ -77,6 +78,31 @@ class TestLogSweep:
         assert values[0] == 8
         assert values[-1] == 32768
         assert all(isinstance(v, int) for v in values)
+
+    def test_integral_exact_powers(self):
+        # the float estimates of 4, 16, 10 and 100 lie one ulp below them
+        assert log_sweep(SweepSpec(1, 64, 7, integral=True)) == [1, 2, 4, 8, 16, 32, 64]
+        assert log_sweep(SweepSpec(1, 1000, 4, integral=True)) == [1, 10, 100, 1000]
+
+    def test_integral_canonical_values_are_the_float_floors(self):
+        # no canonical point lies near an integer, so its 1400 values stay the float floors
+        sweeps = [spec.sweep for spec in canonical_experiments(0) if spec.sweep.integral]
+        assert sum(s.steps for s in sweeps) == 1400
+        for spec in sweeps:
+            continuous = log_sweep(SweepSpec(spec.low, spec.high, spec.steps))
+            assert log_sweep(spec) == [math.floor(v) for v in continuous]
+
+    @given(
+        low=st.integers(min_value=1, max_value=50),
+        factor=st.integers(min_value=1, max_value=2000),
+        steps=st.integers(min_value=2, max_value=40),
+    )
+    def test_property_integral_floor_exact(self, low, factor, steps):
+        # m is the floor of low**((last - i)/last) * high**(i/last): m**last <= that**last < (m + 1)**last
+        high, last = low * factor, steps - 1
+        for i, m in enumerate(log_sweep(SweepSpec(low, high, steps, integral=True))):
+            bound = Fraction(low) ** (last - i) * Fraction(high) ** i
+            assert m**last <= bound < (m + 1) ** last
 
     def test_integral_keeps_duplicates(self):
         values = log_sweep(SweepSpec(1, 4, 10, integral=True))
@@ -227,6 +253,62 @@ def tiny_spec(replicates=1, master_seed=99):
         name="tiny", varied="n", sweep=SweepSpec(5, 50, 8, integral=True),
         alpha=0.5, beta=3, s=8, replicates=replicates, master_seed=master_seed,
     )
+
+
+# (beta, s, n) shapes of the chunk tests: s = 1, n = 0, runs long enough for
+# the block copy kernel, and betas that leave room for one or a few reference
+# iterations per block of about _BLOCK_DRAWS draws over all rows.
+CHUNK_SHAPES = [(1, 1, 0), (3, 3, 2), (2, 1, 5), (1, 5, 12), (2100, 2, 3), (700, 5, 12)]
+CHUNK_ALPHAS = [0.01, 1.0, 2.0, 37.5]
+
+
+def entropy_alone(params, seed, mode):
+    """Entropy of one run, by folding ``step`` (reference) or ``step_fast`` (the
+    multinomial loop) over the initial weights, or by ``run`` (the block kernel)."""
+    rng = make_stream(seed)
+    if mode == "fast" and _kernel(params, mode)[0] is _block_rows:
+        return shannon_entropy_bits(run(params, rng, mode))
+    state = init_weights(params)
+    for _ in range(params.n):
+        state = (step if mode == "reference" else step_fast)(state, params.beta, rng)
+    return shannon_entropy_bits(state.weights / state.weights.sum())
+
+
+class TestEntropyChunk:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CHUNK_SHAPES),
+                st.sampled_from(CHUNK_ALPHAS),
+                st.integers(min_value=0, max_value=2**64 - 1),
+                st.sampled_from(["reference", "fast"]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_property_rows_equal_runs_alone(self, drawn):
+        tasks = [(ProcessParams(alpha, beta, s, n), seed, mode) for (beta, s, n), alpha, seed, mode in drawn]
+        assert sweep._entropy_chunk(tasks) == [entropy_alone(*task) for task in tasks]
+
+    def test_every_kernel_covered(self):
+        kernels = {_kernel(ProcessParams(1.0, beta, s, n), "fast")[0].__name__ for beta, s, n in CHUNK_SHAPES}
+        assert kernels == {"_multinomial_rows", "_block_rows"}
+
+    def test_groups_cut_into_calls_keep_entropies(self, monkeypatch):
+        tasks = [
+            (ProcessParams(alpha, beta, s, n), seed, mode)
+            for seed, ((beta, s, n), alpha) in enumerate(zip(CHUNK_SHAPES * 4, CHUNK_ALPHAS * 6))
+            for mode in ("reference", "fast")
+        ]
+        whole = sweep._entropy_chunk(tasks)
+        calls = []
+        real = sweep._run_rows
+        monkeypatch.setattr(sweep, "_run_rows", lambda rows, rngs, mode: calls.append(len(rows)) or real(rows, rngs, mode))
+        # calls of one row at beta 2100 and of three at beta 700; the other groups of 4 stay whole
+        monkeypatch.setattr(sweep, "_ROW_NUMBERS", 2200)
+        assert sweep._entropy_chunk(tasks) == whole
+        assert sorted(calls) == [1] * 10 + [3] * 2 + [4] * 8
 
 
 class TestRunExperiment:
