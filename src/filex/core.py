@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,15 +189,16 @@ def _inverse_cdf_counts(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.diff(below, prepend=0)
 
 
-# The kernels below run R runs that share beta, s and n, the parameters a
-# kernel's pick and price depend on, as the R rows of one (R, s) weight array.
-# Alpha may differ per row, and row r draws only from ``rngs[r]``, in the
-# order a run of its own would, so each row is bit-identical to a run alone.
-# Row-wise sums, prefix sums and divisions along axis 1 round exactly as the
-# same operations on each row alone do. The row code calls ``np.add.reduce``,
-# ``np.add.accumulate`` and ``ndarray.searchsorted``: the very computations of
-# ``ndarray.sum``, ``np.cumsum`` and ``np.searchsorted`` without their
-# Python-level dispatch, which costs more than the work on a small array.
+# The kernels below run R runs that share their group key (:func:`_kernel`)
+# as the R rows of one (R, s) weight array: s and n, and beta too except in
+# the multinomial loop. Alpha may differ per row, and row r draws only from
+# ``rngs[r]``, in the order a run of its own would, so each row is
+# bit-identical to a run alone. Row-wise sums, prefix sums and divisions
+# along axis 1 round exactly as the same operations on each row alone do.
+# The row code calls ``np.add.reduce``, ``np.add.accumulate`` and
+# ``ndarray.searchsorted``: the very computations of ``ndarray.sum``,
+# ``np.cumsum`` and ``np.searchsorted`` without their Python-level dispatch,
+# which costs more than the work on a small array.
 
 # Draws per block of the copy kernel, and per block of the reference kernel
 # over all its rows: enough to spread the fixed numpy cost over many
@@ -256,18 +257,32 @@ def _multinomial_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream
     The frozen-copy draws are i.i.d., so their histogram is multinomial with
     the iteration-start probabilities; adding counts/beta reproduces the
     reference increment distribution exactly at O(s) cost per row and
-    iteration, and row r equals folding :func:`step_fast`. All rows are
-    normalized at once; each row's counts are drawn from its stream and added
-    to its weights in place. O(n R s) time, O(R s) memory.
+    iteration, and row r equals folding :func:`step_fast` with its own beta.
+    Rows share s and n but not beta: the normalization runs once per
+    iteration over all rows, and each row's counts are drawn from its stream
+    with its beta. Over several rows the counts go to one buffer, divided by
+    each row's beta and added in one operation per iteration; one row adds
+    its counts in place, which spares the buffer's set-up. O(n R s) time,
+    O(R s) memory.
     """
-    beta, n = rows[0].beta, rows[0].n
+    n = rows[0].n
     w = _initial_weights(rows)
     probs = np.empty_like(w)
-    draws = list(zip(rngs, probs, w))  # each row's stream and views
+    if len(rows) == 1:
+        rng, beta, weights, p = rngs[0], rows[0].beta, w[0], probs[0]
+        for _ in range(n):
+            np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=probs)
+            weights += rng.multinomial(beta, p) / beta
+        return w
+    counts = np.empty_like(w)
+    betas = np.array([[row.beta] for row in rows], dtype=np.float64)
+    draws = list(zip(rngs, [row.beta for row in rows], probs, counts))  # each row's stream, beta and views
     for _ in range(n):
         np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=probs)
-        for rng, p, weights in draws:
-            weights += rng.multinomial(beta, p) / beta
+        for rng, beta, p, row_counts in draws:
+            row_counts[...] = rng.multinomial(beta, p)
+        np.divide(counts, betas, out=counts)
+        np.add(w, counts, out=w)
     return w
 
 
@@ -313,52 +328,121 @@ def _block_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], blo
     return w
 
 
-# Cost model of a run, in microseconds. Interleaved medians on 2 CPUs
-# (Python 3.11, numpy 2.4): a multinomial iteration took 9.0 us at s = 2, 11.6
-# at s = 64, 22.0 at s = 256 and 895 at s = 16384; a one-block run took 72 us
-# at 1 draw and 266 us at 4096 draws (beta = 4, s = 64). A block's own cost per
-# symbol (756 us at 1 draw with s = 16384) is below the multinomial's per
-# iteration and is left out, as is the multinomial's slow growth with beta
-# (15.5 us per iteration at beta = 100, s = 64), so near the crossover the
-# model errs towards the multinomial loop. A run's fixed cost (stream,
-# normalization, entropy; a run of n = 0) and the reference kernel's costs
-# were timed the same way, scaled to 11.6 us per multinomial iteration at
-# s = 64: 51 us fixed, 14.9 us per reference iteration at beta = 1, and
-# 0.078 us per further draw (beta = 1000 and 4096, s = 64).
+# The kernel pick, by modelled loop time in microseconds of one run alone.
+# Interleaved medians on 2 CPUs (Python 3.11, numpy 2.4): a multinomial
+# iteration took 9.0 us at s = 2, 11.6 at s = 64, 22.0 at s = 256 and 895 at
+# s = 16384; a one-block run took 72 us at 1 draw and 266 us at 4096 draws
+# (beta = 4, s = 64). A block's own cost per symbol (756 us at 1 draw with
+# s = 16384) is below the multinomial's per iteration and is left out, as is
+# the multinomial's slow growth with beta, so near the crossover the pick
+# errs towards the multinomial loop. The pick decides which variates a run
+# draws, so these constants are part of what a record depends on and stay
+# fixed; the call prices below are measured apart and only schedule work.
 _MULTINOMIAL_ITERATION_US = 9.0
 _MULTINOMIAL_SYMBOL_US = 0.05
 _BLOCK_US = 75.0
 _BLOCK_DRAW_US = 0.047
-_RUN_US = 50.0
-_REFERENCE_ITERATION_US = 15.0
-_REFERENCE_DRAW_US = 0.078
+
+# Call prices, in microseconds: a call of R rows costs its fixed part plus R
+# times a row's, and a loop kernel adds one part per iteration of the call
+# (normalization or prefix sums over all rows) plus one per row-iteration.
+# Method: in one process, each sample timed a call through the chunk path of
+# a sweep (streams, _run_rows, entropies) at n iterations and again at n = 0,
+# once with one row and once with R = 16 or 32 (8 for the block kernel, 63
+# for the beta-sweep mix), each next to a unit that scales it to 11.6 us per
+# multinomial iteration at (beta, s, R) = (4, 64, 1), the unit of the pick
+# above and of the sweep's pool and chunk constants. (time(n) - time(0)) / n
+# gave the cost per iteration at each R; its growth over R, the part per
+# row-iteration, and the rest, the part per call-iteration. Medians of 9
+# rounds, two runs, on 2 CPUs (Python 3.11, numpy 2.4):
+# - fixed: 42 us per call and 21 us per row (stream, checks, entropy), from
+#   calls of 1 and 64 rows at n = 0;
+# - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
+#   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
+#   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw
+#   plus 0.01 per symbol. A 1000-iteration row at (10, 64) costs about 2.1 ms
+#   as one of 32 rows of a call, its share of the call included, and 8.8 ms
+#   alone;
+# - multinomial loop: 6 to 7 us per call-iteration; per row-iteration 2.8 us
+#   at (beta, s) = (200, 3), 9.3 to 12 at (200, 64), 16 to 21 at (2000, 64),
+#   10 at (32768, 64), 40 to 51 at (2000, 256), and 12 to 16 over 63 rows of
+#   the canonical beta sweep (beta 187 to 32768, s = 64): 2.5 us plus 0.18
+#   per symbol, which prices that sweep's mix of betas;
+# - block copy kernel: it runs its rows one after another, so it has no part
+#   per call-iteration; a row took 0.7 to 0.85 times its pick price above,
+#   which serves as its price.
+_CALL_US = 42.0
+_ROW_US = 21.0
+_CALL_ITERATION_US = 6.5
+_REFERENCE_ROW_DRAW_US = 0.15
+_REFERENCE_ROW_SYMBOL_US = 0.01
+_MULTINOMIAL_ROW_ITERATION_US = 2.5
+_MULTINOMIAL_ROW_SYMBOL_US = 0.18
+
+# Numbers per iteration, per-row arrays over all rows, that one kernel call
+# may hold. A larger group is cut into calls of fewer rows, so a call's
+# arrays and streams stay small at any s, beta or replicate count, while a
+# group of a few hundred tiny runs still shares one call.
+_ROW_NUMBERS = 1 << 12
 
 
-def _kernel(params: ProcessParams, mode: str) -> tuple:
-    """The kernel of ``mode`` with the lowest modelled loop time for ``params``, and that time in microseconds.
+def _block_loop_us(beta: int, n: int) -> float:
+    """Modelled loop time of one run of the block copy kernel, in microseconds."""
+    return -(-n // max(1, _BLOCK_DRAWS // beta)) * _BLOCK_US + n * beta * _BLOCK_DRAW_US
 
-    This is the one map from a sampler mode to its kernels and their prices.
-    Reference mode has one kernel; fast mode picks the multinomial loop or
-    the block copy kernel, and a tie goes to the multinomial loop. The pick
-    and the price depend on mode, beta, s and n only, never on alpha, so runs
-    that share these share a kernel and can run as its rows.
+
+def _pick(params: ProcessParams, mode: str) -> Callable[..., np.ndarray]:
+    """The kernel a run of ``params`` takes in ``mode``: (rows, rngs) -> final weights, one row per run.
+
+    This is the one map from a sampler mode to its kernels. Reference mode
+    has one kernel; fast mode picks whichever of the multinomial loop and the
+    block copy kernel has the lower modelled loop time for one run, and a tie
+    goes to the multinomial loop. The pick depends on mode, beta, s and n
+    only, never on alpha, so a run takes the same kernel alone as in any call.
     """
-    n, beta = params.n, params.beta
     if _check_mode(mode) == "reference":
-        return _reference_rows, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta)
-    multinomial = n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s)
-    block = -(-n // max(1, _BLOCK_DRAWS // beta)) * _BLOCK_US + n * beta * _BLOCK_DRAW_US
-    return (_multinomial_rows, multinomial) if multinomial <= block else (_block_rows, block)
+        return _reference_rows
+    multinomial = params.n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s)
+    return _multinomial_rows if multinomial <= _block_loop_us(params.beta, params.n) else _block_rows
 
 
-def run_cost_us(params: ProcessParams, mode: str) -> float:
-    """Modelled microseconds of one run of ``params``, stream set-up and entropy included.
+class Kernel(NamedTuple):
+    """The kernel a run takes, what the rows of one call of it share, and the call's price.
 
-    A run costs its fixed part plus the loop of the kernel :func:`_kernel`
-    picks. The model depends on ``params`` and ``mode`` alone; another mode is
-    rejected, not priced.
+    A call of R runs that share ``run`` and ``key`` costs about ``price(R)``
+    modelled microseconds and holds at most ``max_rows`` rows.
     """
-    return _RUN_US + _kernel(params, mode)[1]
+
+    run: Callable[..., np.ndarray]  # (rows, rngs) -> final weights, one row per run
+    key: tuple
+    call_us: float
+    row_us: float
+    max_rows: int
+
+    def price(self, rows: int) -> float:
+        """Modelled microseconds of one call of ``rows`` rows."""
+        return self.call_us + rows * self.row_us
+
+
+def _kernel(params: ProcessParams, mode: str) -> Kernel:
+    """The kernel :func:`_pick` gives ``params`` and ``mode``, with its group key, call price and row cap.
+
+    The multinomial loop draws each row's counts with the row's own beta, so
+    its rows share (s, n); the other two share (beta, s, n). A row's numbers
+    per iteration are its weights, plus its draws in the reference loop,
+    which sets the row cap.
+    """
+    beta, s, n = params.beta, params.s, params.n
+    run = _pick(params, mode)
+    loop_call_us = _CALL_US + n * _CALL_ITERATION_US
+    if run is _reference_rows:
+        row_us = _ROW_US + n * (_REFERENCE_ROW_DRAW_US * beta + _REFERENCE_ROW_SYMBOL_US * s)
+        return Kernel(run, (beta, s, n), loop_call_us, row_us, max(1, _ROW_NUMBERS // (s + beta)))
+    max_rows = max(1, _ROW_NUMBERS // s)
+    if run is _multinomial_rows:
+        row_us = _ROW_US + n * (_MULTINOMIAL_ROW_ITERATION_US + _MULTINOMIAL_ROW_SYMBOL_US * s)
+        return Kernel(run, (s, n), loop_call_us, row_us, max_rows)
+    return Kernel(run, (beta, s, n), _CALL_US, _ROW_US + _block_loop_us(beta, n), max_rows)
 
 
 def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
@@ -399,24 +483,24 @@ def _normalize(weights: np.ndarray) -> np.ndarray:
 def run(params: ProcessParams, rng: RandomStream, mode: str = "fast") -> Distribution:
     """Run the whole process and return the normalized final distribution.
 
-    Runs the kernel :func:`_kernel` picks for ``params`` and ``mode``, as its
+    Runs the kernel :func:`_pick` gives ``params`` and ``mode``, as its
     one row. ``mode="reference"`` draws every symbol individually and is bit-identical
     to folding :func:`step` over the initial state. ``mode="fast"`` runs the
     multinomial loop, bit-identical to folding :func:`step_fast`, or the block
     copy kernel. All sample the same law, and the pick depends on ``params``
     and ``mode`` alone, so a run still depends only on its parameters and seed.
     """
-    kernel, _ = _kernel(params, mode)
-    return Distribution(_normalize(kernel([params], [rng]))[0])
+    return Distribution(_normalize(_pick(params, mode)([params], [rng]))[0])
 
 
-def _run_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], mode: str) -> np.ndarray:
-    """Final distributions of runs that share ``mode``, beta, s and n, as the rows of one kernel call.
+def _run_rows(
+    kernel: Callable[..., np.ndarray], rows: Sequence[ProcessParams], rngs: Sequence[RandomStream]
+) -> np.ndarray:
+    """Final distributions of runs that share a mode, the ``kernel`` it picks and its key, as the rows of one call of it.
 
     Row r is ``run(rows[r], rngs[r], mode).probs`` bit for bit, and every row
     is checked as :class:`Distribution` checks one, all rows at once.
     """
-    kernel, _ = _kernel(rows[0], mode)
     probs = _normalize(kernel(rows, rngs))
     _check_positive_array("probs", probs.reshape(-1))
     _check_sums(probs)

@@ -16,13 +16,14 @@ from typing import Callable, Iterable, Sequence
 
 from .core import (
     _MAX_SEED,
+    Kernel,
     ProcessParams,
     _check_count,
     _check_mode,
     _check_positive,
+    _kernel,
     _run_rows,
     make_stream,
-    run_cost_us,
 )
 from .errors import InvalidParameterError
 from .stats import CorrelationResult, PairedSeries, _entropy_bits_rows, kendall_tau
@@ -217,35 +218,48 @@ def derive_run_seed(master_seed: int, point_index: int, replicate: int) -> int:
     return h
 
 
-# Numbers per iteration, weights (s per row) plus draws (beta per row), that
-# one kernel call over a group's rows may hold. A larger group is cut into
-# calls of fewer rows, so a call's arrays and streams stay small at any s,
-# beta or replicate count, while a group of a few hundred tiny runs still
-# shares one call.
-_ROW_NUMBERS = 1 << 12
+def _calls(tasks: list[tuple[ProcessParams, int, str]], workers: int = 1) -> list[tuple[Kernel, list[int]]]:
+    """Task indices cut into kernel calls, each with the :class:`core.Kernel` its rows share.
+
+    Tasks whose kernel and group key agree (:func:`core._kernel`) form a
+    group. Each group is cut into the fewest calls that keep to its kernel's
+    row cap and, where a call holds more than one row, to an even share of
+    the modelled work of all groups over ``workers``: a group that holds most
+    of the work is split about ``workers`` ways. Rows are dealt to a group's
+    calls in turn, so calls differ by at most one row and share out costs the
+    model leaves out, such as the multinomial loop's with beta.
+    """
+    shapes: dict[tuple, list[int]] = {}
+    for i, (params, _, mode) in enumerate(tasks):
+        shapes.setdefault((mode, params.beta, params.s, params.n), []).append(i)
+    groups: dict[tuple, tuple] = {}
+    for (mode, *_), members in shapes.items():  # one pick per shape, not per task
+        kernel = _kernel(tasks[members[0]][0], mode)
+        groups.setdefault((kernel.run, kernel.key), (kernel, []))[1].extend(members)
+    share = sum(kernel.price(len(members)) for kernel, members in groups.values()) / workers
+    calls = []
+    for kernel, members in groups.values():
+        shares = math.ceil(kernel.price(len(members)) / share)
+        parts = max(-(-len(members) // kernel.max_rows), min(len(members), shares))
+        calls.extend((kernel, members[part::parts]) for part in range(parts))
+    return calls
 
 
 def _entropy_chunk(tasks: list[tuple[ProcessParams, int, str]]) -> list[float]:
     """Entropies of several tasks, in task order: one pool call for all of them.
 
-    Tasks that share (mode, beta, s, n) share a kernel, so each such group
-    runs as the rows of one kernel call, at most ``_ROW_NUMBERS // (s + beta)``
-    rows at a time, with normalization, checks and entropy done once per call.
+    The tasks run as the kernel calls of :func:`_calls`, each group of tasks
+    that share a kernel and its key as the rows of as few calls as its row
+    cap allows, with normalization, checks and entropy done once per call.
     Each row draws only from its own task's stream, so every entropy equals
     that of its task run alone, ``shannon_entropy_bits(run(params,
     make_stream(seed), mode))``.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (params, _, mode) in enumerate(tasks):
-        groups.setdefault((mode, params.beta, params.s, params.n), []).append(i)
     entropies = [0.0] * len(tasks)
-    for (mode, beta, s, _), members in groups.items():
-        rows = max(1, _ROW_NUMBERS // (s + beta))
-        for start in range(0, len(members), rows):
-            call = members[start : start + rows]
-            probs = _run_rows([tasks[i][0] for i in call], [make_stream(tasks[i][1]) for i in call], mode)
-            for i, entropy in zip(call, _entropy_bits_rows(probs).tolist()):
-                entropies[i] = entropy
+    for kernel, call in _calls(tasks):
+        probs = _run_rows(kernel.run, [tasks[i][0] for i in call], [make_stream(tasks[i][1]) for i in call])
+        for i, entropy in zip(call, _entropy_bits_rows(probs).tolist()):
+            entropies[i] = entropy
     return entropies
 
 
@@ -256,12 +270,12 @@ _CHUNK_US = 10_000.0
 
 
 def _chunk_plan(costs: Sequence[float]) -> list[list[int]]:
-    """Task indices cut into chunks of about ``_CHUNK_US`` modelled work, costliest first.
+    """Indices of kernel calls cut into chunks of about ``_CHUNK_US`` modelled work, costliest first.
 
-    Tasks are taken in non-increasing order of cost (ties in task order) and
-    a chunk closes before the task that would take it past the target, so a
-    task costing more than the target sits alone, and every task of a chunk
-    costs at least as much as every task of the chunks after it.
+    Calls are taken in non-increasing order of cost (ties in call order) and
+    a chunk closes before the call that would take it past the target, so a
+    call costing more than the target sits alone, and every call of a chunk
+    costs at least as much as every call of the chunks after it.
     """
     chunks: list[list[int]] = []
     total = 0.0
@@ -299,23 +313,27 @@ def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int) -> i
 def _run_tasks(tasks: list[tuple[ProcessParams, int, str]], workers: int) -> list[float]:
     """Entropy of every task, in task order.
 
-    With more than one worker the tasks are cut into the chunks of
-    :func:`_chunk_plan`, costliest first, and go to a pool of the size
-    :func:`_pool_size` picks, or run in this process when no pool pays for
-    its start-up. Each task's entropy depends only on the task, so neither
+    With more than one worker the tasks are planned as the kernel calls of
+    :func:`_calls`, split for ``workers``; the calls are cut into the chunks
+    of :func:`_chunk_plan` by their prices, costliest first, and go to a pool
+    of the size :func:`_pool_size` picks, or all tasks run in this process,
+    as :func:`_entropy_chunk` groups them, when no pool pays for its
+    start-up. Each task's entropy depends only on the task, so neither
     choice can change the result.
     """
-    if workers == 1:  # never pools; skip pricing the tasks
+    if workers == 1:  # never pools
         return _entropy_chunk(tasks)
-    costs = [run_cost_us(params, mode) for params, _, mode in tasks]
+    calls = _calls(tasks, workers)
+    costs = [kernel.price(len(call)) for kernel, call in calls]
     plan = _chunk_plan(costs)
     size = _pool_size(costs, plan, workers)
     if size == 0:
         return _entropy_chunk(tasks)
+    chunks = [[i for c in chunk for i in calls[c][1]] for chunk in plan]
     entropies = [0.0] * len(tasks)
     with ProcessPoolExecutor(max_workers=size) as pool:
-        results = pool.map(_entropy_chunk, [[tasks[i] for i in chunk] for chunk in plan])
-        for chunk, values in zip(plan, results):
+        results = pool.map(_entropy_chunk, [[tasks[i] for i in chunk] for chunk in chunks])
+        for chunk, values in zip(chunks, results):
             for i, entropy in zip(chunk, values):
                 entropies[i] = entropy
     return entropies

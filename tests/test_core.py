@@ -14,21 +14,26 @@ from filex.core import (
     _BLOCK_DRAW_US,
     _BLOCK_DRAWS,
     _BLOCK_US,
+    _CALL_ITERATION_US,
+    _CALL_US,
     _MULTINOMIAL_ITERATION_US,
+    _MULTINOMIAL_ROW_ITERATION_US,
+    _MULTINOMIAL_ROW_SYMBOL_US,
     _MULTINOMIAL_SYMBOL_US,
-    _REFERENCE_DRAW_US,
-    _REFERENCE_ITERATION_US,
-    _RUN_US,
+    _REFERENCE_ROW_DRAW_US,
+    _REFERENCE_ROW_SYMBOL_US,
+    _ROW_NUMBERS,
+    _ROW_US,
     _block_rows,
     _inverse_cdf,
     _inverse_cdf_counts,
     _kernel,
     _multinomial_rows,
+    _pick,
     _reference_rows,
     init_weights,
     make_stream,
     run,
-    run_cost_us,
     run_traced,
     step,
     step_fast,
@@ -284,7 +289,9 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             run(ProcessParams(1.0, 1, 2, 1), make_stream(16), mode="bogus")
         with pytest.raises(InvalidParameterError, match="mode"):
-            run_cost_us(ProcessParams(1.0, 1, 2, 1), "bogus")
+            _pick(ProcessParams(1.0, 1, 2, 1), "bogus")
+        with pytest.raises(InvalidParameterError, match="mode"):
+            _kernel(ProcessParams(1.0, 1, 2, 1), "bogus")
 
     @pytest.mark.parametrize(
         "mode,stepper,beta", [("reference", step, 4), ("fast", step_fast, 1024)], ids=["reference-step", "fast-step_fast"]
@@ -293,7 +300,7 @@ class TestRun:
         # fast mode folds step_fast only where the cost rule keeps the multinomial loop
         params = ProcessParams(0.5, beta, 16, 150)
         if mode == "fast":
-            assert _kernel(params, "fast")[0] is _multinomial_rows
+            assert _pick(params, "fast") is _multinomial_rows
         dist = run(params, make_stream(17), mode)
         state = init_weights(params)
         rng = make_stream(17)
@@ -340,25 +347,32 @@ class TestRun:
             for s in (1, 3, 64):
                 for beta in (1, 3, 5, 10):
                     for n in (0, 1, 2, 3):
-                        assert _kernel(ProcessParams(2.0, beta, s, n), mode)[0] is _multinomial_rows
-            assert _kernel(ProcessParams(1e-3, 32768, 64, 10_000), mode)[0] is _multinomial_rows
-            assert _kernel(ProcessParams(1.0, 5, 64, 100_000), mode)[0] is _block_rows
-        # over a grid, the kernel run is the one the cost model rates cheapest (a
-        # tie goes to the multinomial loop), and the run is costed at that kernel
+                        assert _pick(ProcessParams(2.0, beta, s, n), mode) is _multinomial_rows
+            assert _pick(ProcessParams(1e-3, 32768, 64, 10_000), mode) is _multinomial_rows
+            assert _pick(ProcessParams(1.0, 5, 64, 100_000), mode) is _block_rows
+        # over a grid, the kernel run is the one the pick rates cheapest (a tie goes to the
+        # multinomial loop), with its group key, call price and row cap
         for alpha in (1e-3, 1.0, 64.0):
             for beta in (1, 5, 100, 186, 187, 1000, 32768):
                 for s in (1, 2, 64, 256, 16384):
                     for n in (0, 1, 6, 7, 100, 10_000, 1_000_000):
                         params = ProcessParams(alpha, beta, s, n)
+                        loop_call = _CALL_US + n * _CALL_ITERATION_US
                         if mode == "reference":
-                            expected = (_reference_rows, n * (_REFERENCE_ITERATION_US + _REFERENCE_DRAW_US * beta))
+                            row = _ROW_US + n * (_REFERENCE_ROW_DRAW_US * beta + _REFERENCE_ROW_SYMBOL_US * s)
+                            expected = (_reference_rows, (beta, s, n), loop_call, row, max(1, _ROW_NUMBERS // (s + beta)))
                         else:
                             multinomial = n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * s)
                             blocks = math.ceil(n / max(1, _BLOCK_DRAWS // beta))
                             block = blocks * _BLOCK_US + n * beta * _BLOCK_DRAW_US
-                            expected = (_multinomial_rows, multinomial) if multinomial <= block else (_block_rows, block)
+                            if multinomial <= block:
+                                row = _ROW_US + n * (_MULTINOMIAL_ROW_ITERATION_US + _MULTINOMIAL_ROW_SYMBOL_US * s)
+                                expected = (_multinomial_rows, (s, n), loop_call, row, max(1, _ROW_NUMBERS // s))
+                            else:
+                                expected = (_block_rows, (beta, s, n), _CALL_US, _ROW_US + block, max(1, _ROW_NUMBERS // s))
+                        assert _pick(params, mode) is expected[0]
                         assert _kernel(params, mode) == expected
-                        assert run_cost_us(params, mode) == _RUN_US + expected[1]
+                        assert _kernel(params, mode).price(3) == expected[2] + 3 * expected[3]
 
     def test_block_kernel_long_copy_chains(self):
         # one block over all four iterations: copies of copies, resolved by pointer jumping

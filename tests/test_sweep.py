@@ -7,7 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filex import sweep
-from filex.core import ProcessParams, _block_rows, _kernel, init_weights, make_stream, run, run_cost_us, step, step_fast
+from filex import core
+from filex.core import (
+    ProcessParams,
+    _block_rows,
+    _kernel,
+    _multinomial_rows,
+    _pick,
+    init_weights,
+    make_stream,
+    run,
+    step,
+    step_fast,
+)
 from filex.errors import InvalidParameterError, UndefinedCorrelationError
 from filex.stats import PairedSeries, kendall_tau, shannon_entropy_bits
 from filex.sweep import (
@@ -257,8 +269,10 @@ def tiny_spec(replicates=1, master_seed=99):
 
 # (beta, s, n) shapes of the chunk tests: s = 1, n = 0, runs long enough for
 # the block copy kernel, and betas that leave room for one or a few reference
-# iterations per block of about _BLOCK_DRAWS draws over all rows.
-CHUNK_SHAPES = [(1, 1, 0), (3, 3, 2), (2, 1, 5), (1, 5, 12), (2100, 2, 3), (700, 5, 12)]
+# iterations per block of about _BLOCK_DRAWS draws over all rows. In fast mode
+# the last four are multinomial-loop shapes with beta >= 187, two per (s, n),
+# so their groups mix betas.
+CHUNK_SHAPES = [(1, 1, 0), (3, 3, 2), (2, 1, 5), (1, 5, 12), (2100, 2, 3), (700, 5, 12), (187, 5, 12), (1000, 2, 3)]
 CHUNK_ALPHAS = [0.01, 1.0, 2.0, 37.5]
 
 
@@ -266,7 +280,7 @@ def entropy_alone(params, seed, mode):
     """Entropy of one run, by folding ``step`` (reference) or ``step_fast`` (the
     multinomial loop) over the initial weights, or by ``run`` (the block kernel)."""
     rng = make_stream(seed)
-    if mode == "fast" and _kernel(params, mode)[0] is _block_rows:
+    if _pick(params, mode) is _block_rows:
         return shannon_entropy_bits(run(params, rng, mode))
     state = init_weights(params)
     for _ in range(params.n):
@@ -292,23 +306,34 @@ class TestEntropyChunk:
         assert sweep._entropy_chunk(tasks) == [entropy_alone(*task) for task in tasks]
 
     def test_every_kernel_covered(self):
-        kernels = {_kernel(ProcessParams(1.0, beta, s, n), "fast")[0].__name__ for beta, s, n in CHUNK_SHAPES}
-        assert kernels == {"_multinomial_rows", "_block_rows"}
+        kernels = [_kernel(ProcessParams(1.0, beta, s, n), "fast") for beta, s, n in CHUNK_SHAPES]
+        assert {kernel.run.__name__ for kernel in kernels} == {"_multinomial_rows", "_block_rows"}
+        betas = {}
+        for (beta, _, _), kernel in zip(CHUNK_SHAPES, kernels):
+            if kernel.run is _multinomial_rows and beta >= 187:
+                betas.setdefault(kernel.key, set()).add(beta)
+        assert sorted(map(len, betas.values())) == [2, 2]
 
     def test_groups_cut_into_calls_keep_entropies(self, monkeypatch):
         tasks = [
             (ProcessParams(alpha, beta, s, n), seed, mode)
-            for seed, ((beta, s, n), alpha) in enumerate(zip(CHUNK_SHAPES * 4, CHUNK_ALPHAS * 6))
+            for seed, ((beta, s, n), alpha) in enumerate(zip(CHUNK_SHAPES * 4, CHUNK_ALPHAS * 8))
             for mode in ("reference", "fast")
         ]
         whole = sweep._entropy_chunk(tasks)
         calls = []
         real = sweep._run_rows
-        monkeypatch.setattr(sweep, "_run_rows", lambda rows, rngs, mode: calls.append(len(rows)) or real(rows, rngs, mode))
-        # calls of one row at beta 2100 and of three at beta 700; the other groups of 4 stay whole
-        monkeypatch.setattr(sweep, "_ROW_NUMBERS", 2200)
+        monkeypatch.setattr(sweep, "_run_rows", lambda kernel, rows, rngs: calls.append(len(rows)) or real(kernel, rows, rngs))
         assert sweep._entropy_chunk(tasks) == whole
-        assert sorted(calls) == [1] * 10 + [3] * 2 + [4] * 8
+        # groups of 4 tasks, but the fast groups at (s, n) = (2, 3) and (5, 12) mix two betas
+        # each, and a reference row at beta 2100 fills a call
+        assert sorted(calls) == [1] * 4 + [4] * 11 + [8] * 2
+        calls.clear()
+        # a row holds s + beta numbers in the reference loop, s in the others: reference calls of
+        # one row at beta 2100, two at beta 1000 and 700, while every fast group stays whole
+        monkeypatch.setattr(core, "_ROW_NUMBERS", 2200)
+        assert sweep._entropy_chunk(tasks) == whole
+        assert sorted(calls) == [1] * 4 + [2] * 4 + [4] * 9 + [8] * 2
 
 
 class TestRunExperiment:
@@ -362,8 +387,8 @@ class TestRunExperiment:
 
 
 def skewed_spec():
-    # n from 1e2 to 1e5: modelled costs from about 0.15 ms to 33 ms per run,
-    # 132 ms in all, enough for a pool of up to 7 workers to pay its start-up
+    # n from 1e2 to 1e5: calls modelled from about 0.3 ms to 98 ms per group of
+    # 3 runs, 131 ms in all, enough for a pool of up to 7 workers to pay its start-up
     return ExperimentSpec(
         name="skewed", varied="n", sweep=SweepSpec(1e2, 1e5, 6, integral=True),
         alpha=1.0, beta=5, s=64, replicates=3, master_seed=17,
@@ -371,21 +396,26 @@ def skewed_spec():
 
 
 def n_sweep_spec():
-    # the benchmark's n sweep: n in {100, 999, 9999, 100000}, 2 replicates, 73 ms modelled
+    # the benchmark's n sweep: n in {100, 1000, 10000, 100000}, 2 replicates, 74 ms modelled
     return ExperimentSpec(
         name="n-sweep", varied="n", sweep=SweepSpec(1e2, 1e5, 4, integral=True),
         alpha=1.0, beta=5, s=64, replicates=2, master_seed=3,
     )
 
 
-def task_costs(spec, mode="fast", stride=1):
-    values = log_sweep(spec.sweep)[::stride]
-    return [run_cost_us(spec.params_at(v), mode) for v in values for _ in range(spec.replicates)]
+def spec_tasks(spec, mode="fast", stride=1):
+    """The (params, seed, mode) tasks of ``spec``, with seed 0: plans do not read seeds."""
+    return [(spec.params_at(v), 0, mode) for v in log_sweep(spec.sweep)[::stride] for _ in range(spec.replicates)]
+
+
+def call_costs(spec, workers, mode="fast", stride=1):
+    """Modelled prices of the kernel calls :func:`sweep._calls` plans for ``spec`` and ``workers``."""
+    return [kernel.price(len(call)) for kernel, call in sweep._calls(spec_tasks(spec, mode, stride), workers)]
 
 
 def pool_size(spec, workers, mode="fast", stride=1):
-    """The pool size :func:`sweep._pool_size` picks for ``spec``'s runs, 0 for none."""
-    costs = task_costs(spec, mode, stride)
+    """The pool size :func:`sweep._pool_size` picks for ``spec``'s calls, 0 for none."""
+    costs = call_costs(spec, workers, mode, stride)
     return sweep._pool_size(costs, sweep._chunk_plan(costs), workers)
 
 
@@ -430,6 +460,53 @@ class TestSchedule:
         assert [len(chunk) for chunk in plan] == [200] * 5
         assert plan[0] == list(range(200))
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CHUNK_SHAPES + [(5, 64, 1000), (10, 64, 1000), (300, 64, 1000)]),
+                st.sampled_from(CHUNK_ALPHAS),
+                st.sampled_from(["reference", "fast"]),
+                st.integers(min_value=1, max_value=60),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([1 << 12, 64, 8]),
+    )
+    def test_property_calls_cover_each_task_once_within_key_and_cap(self, drawn, workers, row_numbers):
+        tasks = [
+            (ProcessParams(alpha, beta, s, n), 0, mode)
+            for (beta, s, n), alpha, mode, count in drawn
+            for _ in range(count)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_ROW_NUMBERS", row_numbers)
+            calls = sweep._calls(tasks, workers)
+            kernels = [_kernel(params, mode) for params, _, mode in tasks]
+        assert sorted(i for _, call in calls for i in call) == list(range(len(tasks)))
+        groups = {}
+        for kernel, call in calls:
+            # one kernel, key, price and cap per call, the one each of its tasks takes
+            assert {kernels[i] for i in call} == {kernel}
+            assert len(call) <= kernel.max_rows
+            groups.setdefault((kernel.run, kernel.key), (kernel.max_rows, []))[1].append(len(call))
+        for max_rows, sizes in groups.values():
+            assert max(sizes) - min(sizes) <= 1
+            if workers == 1:  # cut only as far as the row cap asks
+                assert len(sizes) == -(-sum(sizes) // max_rows)
+
+    def test_reduced_reference_alpha_sweep_runs_in_two_kernel_calls(self, pool_starts, monkeypatch):
+        spec = canonical_experiments(1)[0]
+        serial = run_experiment(spec, mode="reference", stride=sweep.REDUCED_STRIDE)
+        calls = []
+        real = sweep._run_rows
+        monkeypatch.setattr(sweep, "_run_rows", lambda kernel, rows, rngs: calls.append(len(rows)) or real(kernel, rows, rngs))
+        assert run_experiment(spec, mode="reference", workers=2, stride=sweep.REDUCED_STRIDE) == serial
+        # its 50 runs share one kernel and key; split in two, one call per worker
+        assert pool_starts == [2]
+        assert calls == [25, 25]
+
     def test_skewed_records_equal_for_any_worker_count(self, real_pool_starts):
         spec = skewed_spec()
         assert pool_size(spec, 2) == 2 and pool_size(spec, 3) == 3
@@ -440,22 +517,22 @@ class TestSchedule:
 
     def test_one_worker_per_chunk_at_most(self, pool_starts):
         spec = skewed_spec()
-        chunks = len(sweep._chunk_plan(task_costs(spec)))
+        chunks = len(sweep._chunk_plan(call_costs(spec, 64)))
         assert run_experiment(spec, workers=64) == run_experiment(spec, workers=1)
         assert pool_starts == [min(64, chunks)]
 
     def test_single_chunk_runs_without_a_pool(self, pool_starts):
-        assert len(sweep._chunk_plan(task_costs(tiny_spec()))) == 1
+        assert len(sweep._chunk_plan(call_costs(tiny_spec(), 2))) == 1
         assert run_experiment(tiny_spec(), workers=2) == run_experiment(tiny_spec(), workers=1)
         assert pool_starts == []
 
     def test_tiny_sweep_of_two_chunks_runs_without_a_pool(self, pool_starts):
-        # 200 runs of n <= 3, 13 ms modelled in 2 chunks: less than two workers' start-up
+        # 600 runs of n <= 3, 16 ms modelled in 2 chunks: less than two workers' start-up
         spec = ExperimentSpec(
             name="tiny", varied="n", sweep=SweepSpec(1, 3, 4, integral=True),
-            alpha=2.0, beta=3, s=3, replicates=50, master_seed=5,
+            alpha=2.0, beta=3, s=3, replicates=150, master_seed=5,
         )
-        assert len(sweep._chunk_plan(task_costs(spec))) == 2
+        assert len(sweep._chunk_plan(call_costs(spec, 2))) == 2
         assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
         assert pool_starts == []
 
