@@ -260,20 +260,12 @@ def _multinomial_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream
     iteration, and row r equals folding :func:`step_fast` with its own beta.
     Rows share s and n but not beta: the normalization runs once per
     iteration over all rows, and each row's counts are drawn from its stream
-    with its beta. Over several rows the counts go to one buffer, divided by
-    each row's beta and added in one operation per iteration; one row adds
-    its counts in place, which spares the buffer's set-up. O(n R s) time,
-    O(R s) memory.
+    with its beta. The counts go to one buffer, divided by each row's beta
+    and added in one operation per iteration. O(n R s) time, O(R s) memory.
     """
     n = rows[0].n
     w = _initial_weights(rows)
     probs = np.empty_like(w)
-    if len(rows) == 1:
-        rng, beta, weights, p = rngs[0], rows[0].beta, w[0], probs[0]
-        for _ in range(n):
-            np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=probs)
-            weights += rng.multinomial(beta, p) / beta
-        return w
     counts = np.empty_like(w)
     betas = np.array([[row.beta] for row in rows], dtype=np.float64)
     draws = list(zip(rngs, [row.beta for row in rows], probs, counts))  # each row's stream, beta and views

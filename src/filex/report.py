@@ -219,7 +219,8 @@ def parse_records_csv(text: str) -> list[CsvRow]:
         try:
             row = CsvRow(
                 experiment, param_name, _check_positive("param_value", float(param_value)),
-                int(replicate), int(seed), float(entropy),
+                _check_count("replicate", int(replicate), 0),
+                _check_count("seed", int(seed), 0, _MAX_SEED), float(entropy),
             )
         except ValueError as exc:
             raise CsvFormatError(lineno, str(exc)) from None

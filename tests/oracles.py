@@ -176,9 +176,14 @@ def chi2_gof_pvalue(observed: dict, expected: dict[object, Fraction], n_samples:
     return float(result.pvalue)
 
 
-def recover_hit_counts(probs: np.ndarray, alpha: float, beta: int, s: int, n: int) -> tuple[int, ...]:
-    """Invert a final normalized distribution back to total hit counts."""
-    weights = probs * (alpha + n)
-    counts = np.rint((weights - alpha / s) * beta)
-    assert np.all(np.abs((weights - alpha / s) * beta - counts) < 1e-6)
-    return tuple(int(c) for c in counts)
+def hit_count_outcomes(probs: np.ndarray, alpha: float, beta: int, s: int, n: int) -> dict[tuple[int, ...], int]:
+    """Tally the rows of final normalized distributions ``probs`` by their total hit counts.
+
+    Row r's weights are ``probs[r] * (alpha + n)``, and each symbol's weight is
+    alpha/s plus 1/beta per hit, so its hit counts are integers up to rounding.
+    """
+    exact = (np.asarray(probs) * (alpha + n) - alpha / s) * beta
+    counts = np.rint(exact)
+    assert np.all(np.abs(exact - counts) < 1e-6)
+    outcomes, tallies = np.unique(counts.astype(np.int64), axis=0, return_counts=True)
+    return {tuple(outcome.tolist()): int(tally) for outcome, tally in zip(outcomes, tallies)}

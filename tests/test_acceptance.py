@@ -20,13 +20,26 @@ assertion messages carry the measured values and the exact E[H] at both grid
 ends.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from filex.core import ProcessParams, _block_rows, init_weights, make_stream, run, run_traced, step, step_fast
+from filex.core import (
+    ProcessParams,
+    _BLOCK_DRAWS,
+    _block_rows,
+    _pick,
+    _run_rows,
+    init_weights,
+    make_stream,
+    run,
+    run_traced,
+    step,
+    step_fast,
+)
 from filex.report import (
     correlation_table_from_rows,
     parse_records_csv,
@@ -50,7 +63,7 @@ from oracles import (
     enumerate_outcome_distribution,
     expected_entropy_bits,
     expected_entropy_curve,
-    recover_hit_counts,
+    hit_count_outcomes,
 )
 
 TAU_TARGETS = {"alpha": -0.87, "beta": 0.95, "s": 0.77, "n": -0.53}
@@ -186,12 +199,18 @@ def test_criterion_2_sum_law():
 # -- criterion 3: two-color urn oracle ----------------------------------------
 
 def test_criterion_3_polya_urn_oracle():
+    # Calls of 1000 rows on one stream: the reference loop then draws all of a
+    # row's variates in one block, so the rows draw the variates of 1000 runs
+    # made one after another.
     params = ProcessParams(2.0, 1, 2, 2)
     rng = make_stream(MASTER_SEED + 3)
     tallies = {0.75: 0, 0.5: 0, 0.25: 0}
-    trials = 300_000
-    for _ in range(trials):
-        tallies[float(run(params, rng, "reference").probs[0])] += 1
+    trials, rows = 300_000, 1000
+    assert _BLOCK_DRAWS // (params.beta * rows) >= params.n
+    kernel = _pick(params, "reference")
+    first = np.concatenate([_run_rows(kernel, [params] * rows, [rng] * rows)[:, 0] for _ in range(trials // rows)])
+    for p, count in zip(*(a.tolist() for a in np.unique(first, return_counts=True))):
+        tallies[p] += count
 
     entropy_of = {p: shannon_entropy_bits([p, 1 - p]) for p in tallies}
     mean_entropy = sum(entropy_of[p] * c for p, c in tallies.items()) / trials
@@ -209,22 +228,20 @@ def test_criterion_3_polya_urn_oracle():
 
 # -- criterion 4: fast-path equivalence ----------------------------------------
 
-def _outcome_counts(sample, alpha, beta, s, n, samples, seed):
-    """Hit-count outcomes of ``samples`` runs of ``sample(params, rng)`` (final weights)."""
+def _outcome_counts(kernel, alpha, beta, s, n, samples, seed):
+    """Hit-count outcomes of ``samples`` runs of ``kernel``, the rows of one call on one stream."""
     params = ProcessParams(alpha, beta, s, n)
     rng = make_stream(seed)
-    observed = {}
-    for _ in range(samples):
-        w = sample(params, rng)
-        key = recover_hit_counts(w / w.sum(), alpha, beta, s, n)
-        observed[key] = observed.get(key, 0) + 1
-    return observed
+    return hit_count_outcomes(_run_rows(kernel, [params] * samples, [rng] * samples), alpha, beta, s, n)
 
 
 def test_criterion_4_fast_path_equivalence():
     # Runs this small stay on the multinomial loop, so the block copy kernel
     # is also called directly, with blocks of one iteration (every later draw
     # picks from the block-start weights) and of two (draws copy in-block draws).
+    # Each configuration's samples are the rows of one call on one stream: the
+    # block kernel runs its rows one after another, so they draw the variates
+    # of as many calls made in sequence.
     alpha = 2.0
     samples = 100_000
     block_samples = 30_000
@@ -239,7 +256,7 @@ def test_criterion_4_fast_path_equivalence():
                     continue
                 expected = enumerate_outcome_distribution(Fraction(2), beta, s, n)
                 observed = _outcome_counts(
-                    lambda params, rng: run(params, rng, "fast").probs,
+                    _pick(ProcessParams(alpha, beta, s, n), "fast"),
                     alpha, beta, s, n, samples, MASTER_SEED + 40 + s * 100 + beta * 10 + n,
                 )
                 p_value = chi2_gof_pvalue(observed, expected, samples)
@@ -247,7 +264,7 @@ def test_criterion_4_fast_path_equivalence():
                 assert p_value > 0.01, f"chi-square rejects fast path at s={s}, beta={beta}, n={n}: p={p_value:.4f}"
                 for block in range(1, n + 1):
                     observed = _outcome_counts(
-                        lambda params, rng: _block_rows([params], [rng], block)[0],
+                        functools.partial(_block_rows, block_iterations=block),
                         alpha, beta, s, n, block_samples, MASTER_SEED + 5000 + block * 1000 + s * 100 + beta * 10 + n,
                     )
                     p_value = chi2_gof_pvalue(observed, expected, block_samples)

@@ -227,6 +227,8 @@ class TestCmdTable:
 BAD_VALUE_CSVS = {
     "zero alpha": b"a,alpha,1,0,1,2.0\na,alpha,0,0,2,3.0\n",
     "infinite entropy": b"a,alpha,1,0,1,2.0\na,alpha,2,0,2,inf\n",
+    "negative replicate": b"a,alpha,1,0,1,2.0\na,alpha,2,-3,2,3.0\n",
+    "seed 2**64": b"a,alpha,1,0,1,2.0\na,alpha,2,0,18446744073709551616,3.0\n",
     "non-UTF-8 byte": b"a,alpha,1,0,1,2.0\na,alpha,\xff,0,2,3.0\n",
 }
 

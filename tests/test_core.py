@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from filex.core import (
     _multinomial_rows,
     _pick,
     _reference_rows,
+    _run_rows,
     init_weights,
     make_stream,
     run,
@@ -41,7 +43,7 @@ from filex.core import (
 from filex.errors import InvalidInputError, InvalidParameterError
 from filex.stats import shannon_entropy_bits
 
-from oracles import chi2_gof_pvalue, enumerate_outcome_distribution, expected_entropy_bits, recover_hit_counts
+from oracles import chi2_gof_pvalue, enumerate_outcome_distribution, expected_entropy_bits, hit_count_outcomes
 
 
 def linear_scan_sample(weights, u):
@@ -271,13 +273,14 @@ class TestRun:
     def test_polya_urn_outcomes_uniform(self):
         # S=2, beta=1, N=2, alpha=2 is a two-color urn: outcomes 3/4, 1/2, 1/4
         # for the first symbol, each with probability 1/3.
+        # In hit counts of the two symbols: (2, 0), (1, 1) and (0, 2).
         params = ProcessParams(2.0, 1, 2, 2)
         rng = make_stream(14)
-        tallies = {0.75: 0, 0.5: 0, 0.25: 0}
-        trials = 30_000
-        for _ in range(trials):
-            tallies[float(run(params, rng, "reference").probs[0])] += 1
-        for frequency in tallies.values():
+        trials, rows = 30_000, 1000
+        probs = np.concatenate([_run_rows(_reference_rows, [params] * rows, [rng] * rows) for _ in range(trials // rows)])
+        observed = hit_count_outcomes(probs, 2.0, 1, 2, 2)
+        assert set(observed) == {(2, 0), (1, 1), (0, 2)}
+        for frequency in observed.values():
             assert frequency / trials == pytest.approx(1 / 3, abs=0.02)
 
     def test_huge_alpha_stays_uniform(self):
@@ -333,12 +336,9 @@ class TestRun:
         expected = enumerate_outcome_distribution(Fraction(2), beta, s, n)
         params = ProcessParams(alpha, beta, s, n)
         rng = make_stream(20)
-        observed = {}
         trials = 60_000
-        for _ in range(trials):
-            key = recover_hit_counts(run(params, rng, "fast").probs, alpha, beta, s, n)
-            observed[key] = observed.get(key, 0) + 1
-        assert chi2_gof_pvalue(observed, expected, trials) > 0.01
+        probs = _run_rows(_pick(params, "fast"), [params] * trials, [rng] * trials)
+        assert chi2_gof_pvalue(hit_count_outcomes(probs, alpha, beta, s, n), expected, trials) > 0.01
 
     @pytest.mark.parametrize("mode", ["reference", "fast"])
     def test_cost_rule(self, mode):
@@ -380,13 +380,33 @@ class TestRun:
         expected = enumerate_outcome_distribution(Fraction(2), beta, s, n)
         params = ProcessParams(alpha, beta, s, n)
         rng = make_stream(26)
-        observed = {}
         trials = 30_000
-        for _ in range(trials):
-            w = _block_rows([params], [rng], n)[0]
-            key = recover_hit_counts(w / w.sum(), alpha, beta, s, n)
-            observed[key] = observed.get(key, 0) + 1
-        assert chi2_gof_pvalue(observed, expected, trials) > 0.01
+        probs = _run_rows(functools.partial(_block_rows, block_iterations=n), [params] * trials, [rng] * trials)
+        assert chi2_gof_pvalue(hit_count_outcomes(probs, alpha, beta, s, n), expected, trials) > 0.01
+
+
+@pytest.mark.parametrize(
+    "kernel,params,rows",
+    [
+        (functools.partial(_block_rows, block_iterations=1), ProcessParams(2.0, 3, 3, 2), 500),
+        (functools.partial(_block_rows, block_iterations=2), ProcessParams(2.0, 3, 3, 2), 500),
+        (_reference_rows, ProcessParams(2.0, 1, 2, 2), 1000),
+        (_reference_rows, ProcessParams(2.0, 1, 2, 2), 2048),
+    ],
+    ids=["block-1", "block-2", "reference", "reference-widest"],
+)
+def test_shared_stream_rows_equal_calls_in_sequence(kernel, params, rows):
+    """R rows on one stream draw exactly the variates of R one-row calls made in sequence.
+
+    The law tests draw their samples this way. The block kernel runs its rows
+    one after another; the reference loop does so while one block holds all of
+    a row's iterations, ``_BLOCK_DRAWS // (beta * R) >= n``.
+    """
+    if kernel is _reference_rows:
+        assert _BLOCK_DRAWS // (params.beta * rows) >= params.n
+    rng = make_stream(27)
+    alone = np.concatenate([kernel([params], [rng]) for _ in range(rows)])
+    assert np.array_equal(kernel([params] * rows, [make_stream(27)] * rows), alone)
 
 
 class RecordingStream:

@@ -169,12 +169,19 @@ class TestCsv:
             ("a,alpha,0.5,0,5,inf", "entropy_bits"),
             ("a,alpha,0.5,0,5,nan", "entropy_bits"),
             ("a,alpha,0.5,0,5,-1.0", "entropy_bits"),
+            ("a,alpha,0.5,-3,5,1.0", "replicate"),
+            ("a,alpha,0.5,0,-1,1.0", "seed"),
+            ("a,alpha,0.5,0,18446744073709551616,1.0", "seed"),
         ],
     )
     def test_out_of_range_value_names_line(self, row, field):
         text = CSV_HEADER + "\na,alpha,1.0,0,5,1.0\n" + row + "\n"
         with pytest.raises(CsvFormatError, match=f"line 3: {field}"):
             parse_records_csv(text)
+
+    def test_largest_seed_accepted(self):
+        rows = parse_records_csv(CSV_HEADER + "\na,alpha,0.5,0,18446744073709551615,1.0\n")
+        assert rows[0].seed == 2**64 - 1
 
     def test_read_records_csv(self, tmp_path):
         spec, records = small_records()
