@@ -17,11 +17,9 @@ from xml.sax.saxutils import escape
 from .core import _MAX_SEED, ProcessParams, _check_count, _check_mode, _check_positive
 from .errors import ConfigError, CsvFormatError, InvalidInputError, UndefinedCorrelationError
 from .stats import CorrelationResult
-from .sweep import ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, correlate, sweep_axis
+from .sweep import VARIED_NAMES, ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, correlate, sweep_axis
 
 CSV_HEADER = "experiment,param_name,param_value,replicate,seed,entropy_bits"
-
-CANONICAL_NAMES = ("alpha", "beta", "s", "n")
 
 
 # -- config files -----------------------------------------------------------
@@ -151,9 +149,9 @@ def experiment_config_from_mapping(cfg: dict[str, str], seed_override: int | Non
     """Build an ExperimentSpec from a canonical-name or explicit config."""
     canonical = "experiment" in cfg
     values = _take(cfg, _CANONICAL_SCHEMA if canonical else _CUSTOM_SCHEMA)
-    if canonical and values["experiment"] not in CANONICAL_NAMES:
+    if canonical and values["experiment"] not in VARIED_NAMES:
         raise ConfigError(
-            f"invalid value for experiment: {values['experiment']!r} (expected one of {', '.join(CANONICAL_NAMES)})"
+            f"invalid value for experiment: {values['experiment']!r} (expected one of {', '.join(VARIED_NAMES)})"
         )
     seed = values.pop("master_seed", None)
     if seed_override is not None:
@@ -216,6 +214,8 @@ def parse_records_csv(text: str) -> list[CsvRow]:
         if len(parts) != 6:
             raise CsvFormatError(lineno, f"expected 6 fields, got {len(parts)}")
         experiment, param_name, param_value, replicate, seed, entropy = parts
+        if param_name not in VARIED_NAMES:
+            raise CsvFormatError(lineno, f"param_name must be one of {', '.join(VARIED_NAMES)}, got {param_name!r}")
         try:
             row = CsvRow(
                 experiment, param_name, _check_positive("param_value", float(param_value)),

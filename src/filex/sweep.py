@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -218,22 +219,22 @@ def derive_run_seed(master_seed: int, point_index: int, replicate: int) -> int:
     return h
 
 
-def _calls(tasks: list[tuple[ProcessParams, int, str]], workers: int = 1) -> list[tuple[Kernel, list[int]]]:
+def _calls(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int = 1) -> list[tuple[Kernel, list[int]]]:
     """Task indices cut into kernel calls, each with the :class:`core.Kernel` its rows share.
 
-    Tasks whose kernel and group key agree (:func:`core._kernel`) form a
-    group. Each group is cut into the fewest calls that keep to its kernel's
-    row cap and, where a call holds more than one row, to an even share of
-    the modelled work of all groups over ``workers``: a group that holds most
-    of the work is split about ``workers`` ways. Rows are dealt to a group's
-    calls in turn, so calls differ by at most one row and share out costs the
-    model leaves out, such as the multinomial loop's with beta.
+    Tasks whose kernel and group key in ``mode`` agree (:func:`core._kernel`)
+    form a group. Each group is cut into the fewest calls that keep to its
+    kernel's row cap and, where a call holds more than one row, to an even
+    share of the modelled work of all groups over ``workers``: a group that
+    holds most of the work is split about ``workers`` ways. Rows are dealt to
+    a group's calls in turn, so calls differ by at most one row and share out
+    costs the model leaves out, such as the multinomial loop's with beta.
     """
     shapes: dict[tuple, list[int]] = {}
-    for i, (params, _, mode) in enumerate(tasks):
-        shapes.setdefault((mode, params.beta, params.s, params.n), []).append(i)
+    for i, (params, _) in enumerate(tasks):
+        shapes.setdefault((params.beta, params.s, params.n), []).append(i)
     groups: dict[tuple, tuple] = {}
-    for (mode, *_), members in shapes.items():  # one pick per shape, not per task
+    for members in shapes.values():  # one pick per shape, not per task
         kernel = _kernel(tasks[members[0]][0], mode)
         groups.setdefault((kernel.run, kernel.key), (kernel, []))[1].extend(members)
     share = sum(kernel.price(len(members)) for kernel, members in groups.values()) / workers
@@ -245,22 +246,19 @@ def _calls(tasks: list[tuple[ProcessParams, int, str]], workers: int = 1) -> lis
     return calls
 
 
-def _entropy_chunk(tasks: list[tuple[ProcessParams, int, str]]) -> list[float]:
-    """Entropies of several tasks, in task order: one pool call for all of them.
+def _run_calls(calls: list[tuple[Callable, list[ProcessParams], list[int]]]) -> list[float]:
+    """Entropies of the rows of planned kernel calls ``(kernel.run, rows, seeds)``, call after call.
 
-    The tasks run as the kernel calls of :func:`_calls`, each group of tasks
-    that share a kernel and its key as the rows of as few calls as its row
-    cap allows, with normalization, checks and entropy done once per call.
-    Each row draws only from its own task's stream, so every entropy equals
-    that of its task run alone, ``shannon_entropy_bits(run(params,
-    make_stream(seed), mode))``.
+    Each row draws only from the stream of its own seed, so every entropy
+    equals that of its run alone, ``shannon_entropy_bits(run(params,
+    make_stream(seed), mode))``; normalization, checks and entropy are done
+    once per call.
     """
-    entropies = [0.0] * len(tasks)
-    for kernel, call in _calls(tasks):
-        probs = _run_rows(kernel.run, [tasks[i][0] for i in call], [make_stream(tasks[i][1]) for i in call])
-        for i, entropy in zip(call, _entropy_bits_rows(probs).tolist()):
-            entropies[i] = entropy
-    return entropies
+    return [
+        entropy
+        for run, rows, seeds in calls
+        for entropy in _entropy_bits_rows(_run_rows(run, rows, [make_stream(seed) for seed in seeds])).tolist()
+    ]
 
 
 # Modelled work per pool call. One call costs about 0.6 ms of IPC and
@@ -296,47 +294,48 @@ def _chunk_plan(costs: Sequence[float]) -> list[list[int]]:
 _POOL_WORKER_US = 7_500.0
 
 
-def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int) -> int:
-    """Workers to run ``plan`` on, or 0 to run it in this process.
+def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int, bar: float) -> int:
+    """Workers to run ``plan`` on, or 0 to run the sweep in this process.
 
-    A pool of k = min(workers, chunks) processes pays for itself when its
-    modelled start-up plus its makespan bound, the larger of an even share
-    of the total and the costliest chunk, is below the total; one chunk
-    (k = 1) therefore never pools.
+    ``costs`` price the calls split for ``workers``; ``bar`` prices the
+    unsplit calls, which run when no pool starts. A pool of k = min(workers,
+    chunks) processes pays for itself when its modelled start-up plus its
+    makespan bound, the larger of an even share of the split total and the
+    costliest chunk, is below ``bar``. A split adds calls, never removes
+    them, so one chunk (k = 1) never pools.
     """
     k = min(workers, len(plan))
-    total = sum(costs)
     largest = max(sum(costs[i] for i in chunk) for chunk in plan)
-    return k if _POOL_WORKER_US * k + max(total / k, largest) < total else 0
+    return k if _POOL_WORKER_US * k + max(sum(costs) / k, largest) < bar else 0
 
 
-def _run_tasks(tasks: list[tuple[ProcessParams, int, str]], workers: int) -> list[float]:
-    """Entropy of every task, in task order.
+def _run_tasks(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int) -> list[float]:
+    """Entropy of every task, in task order: the one place a sweep is planned.
 
-    With more than one worker the tasks are planned as the kernel calls of
-    :func:`_calls`, split for ``workers``; the calls are cut into the chunks
-    of :func:`_chunk_plan` by their prices, costliest first, and go to a pool
-    of the size :func:`_pool_size` picks, or all tasks run in this process,
-    as :func:`_entropy_chunk` groups them, when no pool pays for its
-    start-up. Each task's entropy depends only on the task, so neither
-    choice can change the result.
+    In this process the tasks run as the kernel calls of :func:`_calls`. With
+    more than one worker they are also planned as calls split for
+    ``workers``, cut into the chunks of :func:`_chunk_plan`, which go to a
+    pool if :func:`_pool_size` finds one that beats the unsplit calls.
+    Workers run their chunks' calls as planned. Each task's entropy depends
+    only on the task, so neither plan can change the result.
     """
-    if workers == 1:  # never pools
-        return _entropy_chunk(tasks)
-    calls = _calls(tasks, workers)
-    costs = [kernel.price(len(call)) for kernel, call in calls]
-    plan = _chunk_plan(costs)
-    size = _pool_size(costs, plan, workers)
-    if size == 0:
-        return _entropy_chunk(tasks)
-    chunks = [[i for c in chunk for i in calls[c][1]] for chunk in plan]
-    entropies = [0.0] * len(tasks)
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        results = pool.map(_entropy_chunk, [[tasks[i] for i in chunk] for chunk in chunks])
-        for chunk, values in zip(chunks, results):
-            for i, entropy in zip(chunk, values):
-                entropies[i] = entropy
-    return entropies
+    calls = _calls(tasks, mode)
+    chunks, size = [calls], 0
+    if workers > 1:
+        split = _calls(tasks, mode, workers)
+        costs = [kernel.price(len(call)) for kernel, call in split]
+        plan = _chunk_plan(costs)
+        size = _pool_size(costs, plan, workers, sum(kernel.price(len(call)) for kernel, call in calls))
+        chunks = [[split[c] for c in chunk] for chunk in plan] if size else chunks
+    work = [[(kernel.run, [tasks[i][0] for i in call], [tasks[i][1] for i in call]) for kernel, call in chunk]
+            for chunk in chunks]
+    if size:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            results = list(pool.map(_run_calls, work))
+    else:
+        results = map(_run_calls, work)
+    order = [i for chunk in chunks for _, call in chunk for i in call]  # each index once: no entropy is compared
+    return [entropy for _, entropy in sorted(zip(order, chain.from_iterable(results)))]
 
 
 def run_experiment(
@@ -366,9 +365,9 @@ def run_experiment(
         for replicate in range(spec.replicates):
             seed = derive_run_seed(spec.master_seed, index, replicate)
             keys.append((value, replicate, seed))
-            tasks.append((params, seed, mode))
+            tasks.append((params, seed))
 
-    entropies = _run_tasks(tasks, workers)
+    entropies = _run_tasks(tasks, mode, workers)
     return [
         RunRecord(spec.name, float(value), replicate, seed, entropy)
         for (value, replicate, seed), entropy in zip(keys, entropies)
@@ -387,7 +386,7 @@ _AXES = {
 
 def sweep_axis(param_name: str) -> tuple[str, Callable[[float], float]]:
     """Axis label and swept-value-to-x map for correlating and plotting a sweep."""
-    return _AXES.get(param_name, (param_name, float))
+    return _AXES[param_name]
 
 
 def _series(param_name: str, records) -> PairedSeries:

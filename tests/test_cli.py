@@ -230,6 +230,7 @@ BAD_VALUE_CSVS = {
     "negative replicate": b"a,alpha,1,0,1,2.0\na,alpha,2,-3,2,3.0\n",
     "seed 2**64": b"a,alpha,1,0,1,2.0\na,alpha,2,0,18446744073709551616,3.0\n",
     "non-UTF-8 byte": b"a,alpha,1,0,1,2.0\na,alpha,\xff,0,2,3.0\n",
+    "unknown param_name": b"a,alpha,1,0,1,2.0\na,Alpha,2,0,2,3.0\n",
 }
 
 

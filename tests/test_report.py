@@ -179,6 +179,13 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match=f"line 3: {field}"):
             parse_records_csv(text)
 
+    @pytest.mark.parametrize("param_name", ["Alpha", "gamma", "", " n"])
+    def test_unknown_param_name_names_line(self, param_name):
+        # the name picks the axis a table correlates against and a plot draws
+        text = CSV_HEADER + "\na,alpha,1.0,0,5,1.0\na," + param_name + ",2.0,0,6,1.5\n"
+        with pytest.raises(CsvFormatError, match="line 3: param_name must be one of alpha, beta, s, n"):
+            parse_records_csv(text)
+
     def test_largest_seed_accepted(self):
         rows = parse_records_csv(CSV_HEADER + "\na,alpha,0.5,0,18446744073709551615,1.0\n")
         assert rows[0].seed == 2**64 - 1

@@ -289,21 +289,23 @@ def entropy_alone(params, seed, mode):
 
 
 class TestEntropyChunk:
+    """A sweep run in this process: one chunk, the unsplit calls of :func:`sweep._calls`, run by :func:`sweep._run_calls`."""
+
     @given(
         st.lists(
             st.tuples(
                 st.sampled_from(CHUNK_SHAPES),
                 st.sampled_from(CHUNK_ALPHAS),
                 st.integers(min_value=0, max_value=2**64 - 1),
-                st.sampled_from(["reference", "fast"]),
             ),
             min_size=1,
             max_size=12,
-        )
+        ),
+        st.sampled_from(["reference", "fast"]),
     )
-    def test_property_rows_equal_runs_alone(self, drawn):
-        tasks = [(ProcessParams(alpha, beta, s, n), seed, mode) for (beta, s, n), alpha, seed, mode in drawn]
-        assert sweep._entropy_chunk(tasks) == [entropy_alone(*task) for task in tasks]
+    def test_property_rows_equal_runs_alone(self, drawn, mode):
+        tasks = [(ProcessParams(alpha, beta, s, n), seed) for (beta, s, n), alpha, seed in drawn]
+        assert sweep._run_tasks(tasks, mode, 1) == [entropy_alone(*task, mode) for task in tasks]
 
     def test_every_kernel_covered(self):
         kernels = [_kernel(ProcessParams(1.0, beta, s, n), "fast") for beta, s, n in CHUNK_SHAPES]
@@ -316,15 +318,14 @@ class TestEntropyChunk:
 
     def test_groups_cut_into_calls_keep_entropies(self, monkeypatch):
         tasks = [
-            (ProcessParams(alpha, beta, s, n), seed, mode)
+            (ProcessParams(alpha, beta, s, n), seed)
             for seed, ((beta, s, n), alpha) in enumerate(zip(CHUNK_SHAPES * 4, CHUNK_ALPHAS * 8))
-            for mode in ("reference", "fast")
         ]
-        whole = sweep._entropy_chunk(tasks)
+        whole = {mode: sweep._run_tasks(tasks, mode, 1) for mode in ("reference", "fast")}
         calls = []
         real = sweep._run_rows
         monkeypatch.setattr(sweep, "_run_rows", lambda kernel, rows, rngs: calls.append(len(rows)) or real(kernel, rows, rngs))
-        assert sweep._entropy_chunk(tasks) == whole
+        assert {mode: sweep._run_tasks(tasks, mode, 1) for mode in whole} == whole
         # groups of 4 tasks, but the fast groups at (s, n) = (2, 3) and (5, 12) mix two betas
         # each, and a reference row at beta 2100 fills a call
         assert sorted(calls) == [1] * 4 + [4] * 11 + [8] * 2
@@ -332,7 +333,7 @@ class TestEntropyChunk:
         # a row holds s + beta numbers in the reference loop, s in the others: reference calls of
         # one row at beta 2100, two at beta 1000 and 700, while every fast group stays whole
         monkeypatch.setattr(core, "_ROW_NUMBERS", 2200)
-        assert sweep._entropy_chunk(tasks) == whole
+        assert {mode: sweep._run_tasks(tasks, mode, 1) for mode in whole} == whole
         assert sorted(calls) == [1] * 4 + [2] * 4 + [4] * 9 + [8] * 2
 
 
@@ -403,20 +404,20 @@ def n_sweep_spec():
     )
 
 
-def spec_tasks(spec, mode="fast", stride=1):
-    """The (params, seed, mode) tasks of ``spec``, with seed 0: plans do not read seeds."""
-    return [(spec.params_at(v), 0, mode) for v in log_sweep(spec.sweep)[::stride] for _ in range(spec.replicates)]
+def spec_tasks(spec, stride=1):
+    """The (params, seed) tasks of ``spec``, with seed 0: plans do not read seeds."""
+    return [(spec.params_at(v), 0) for v in log_sweep(spec.sweep)[::stride] for _ in range(spec.replicates)]
 
 
 def call_costs(spec, workers, mode="fast", stride=1):
-    """Modelled prices of the kernel calls :func:`sweep._calls` plans for ``spec`` and ``workers``."""
-    return [kernel.price(len(call)) for kernel, call in sweep._calls(spec_tasks(spec, mode, stride), workers)]
+    """Modelled prices of the kernel calls :func:`sweep._calls` plans for ``spec``, ``mode`` and ``workers``."""
+    return [kernel.price(len(call)) for kernel, call in sweep._calls(spec_tasks(spec, stride), mode, workers)]
 
 
 def pool_size(spec, workers, mode="fast", stride=1):
-    """The pool size :func:`sweep._pool_size` picks for ``spec``'s calls, 0 for none."""
+    """The pool size :func:`sweep._pool_size` picks for ``spec``'s split calls, 0 for none."""
     costs = call_costs(spec, workers, mode, stride)
-    return sweep._pool_size(costs, sweep._chunk_plan(costs), workers)
+    return sweep._pool_size(costs, sweep._chunk_plan(costs), workers, sum(call_costs(spec, 1, mode, stride)))
 
 
 @pytest.fixture
@@ -465,25 +466,21 @@ class TestSchedule:
             st.tuples(
                 st.sampled_from(CHUNK_SHAPES + [(5, 64, 1000), (10, 64, 1000), (300, 64, 1000)]),
                 st.sampled_from(CHUNK_ALPHAS),
-                st.sampled_from(["reference", "fast"]),
                 st.integers(min_value=1, max_value=60),
             ),
             min_size=1,
             max_size=10,
         ),
+        st.sampled_from(["reference", "fast"]),
         st.integers(min_value=1, max_value=8),
         st.sampled_from([1 << 12, 64, 8]),
     )
-    def test_property_calls_cover_each_task_once_within_key_and_cap(self, drawn, workers, row_numbers):
-        tasks = [
-            (ProcessParams(alpha, beta, s, n), 0, mode)
-            for (beta, s, n), alpha, mode, count in drawn
-            for _ in range(count)
-        ]
+    def test_property_calls_cover_each_task_once_within_key_and_cap(self, drawn, mode, workers, row_numbers):
+        tasks = [(ProcessParams(alpha, beta, s, n), 0) for (beta, s, n), alpha, count in drawn for _ in range(count)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_ROW_NUMBERS", row_numbers)
-            calls = sweep._calls(tasks, workers)
-            kernels = [_kernel(params, mode) for params, _, mode in tasks]
+            calls = sweep._calls(tasks, mode, workers)
+            kernels = [_kernel(params, mode) for params, _ in tasks]
         assert sorted(i for _, call in calls for i in call) == list(range(len(tasks)))
         groups = {}
         for kernel, call in calls:
@@ -515,11 +512,41 @@ class TestSchedule:
         assert run_experiment(spec, workers=3) == serial
         assert real_pool_starts == [2, 3]
 
-    def test_one_worker_per_chunk_at_most(self, pool_starts):
+    @pytest.mark.parametrize("workers", [16, 64])
+    def test_split_calls_do_not_buy_a_pool(self, pool_starts, monkeypatch, workers):
+        # split 16 or 50 ways, its 50 runs are priced at 213 or 435 ms, against 115 ms for the one
+        # call that runs when no pool starts: the split's extra calls must not pay for a pool
+        spec = canonical_experiments(1)[0]
+        serial = run_experiment(spec, mode="reference", stride=sweep.REDUCED_STRIDE)
+        calls = []
+        real = sweep._run_rows
+        monkeypatch.setattr(sweep, "_run_rows", lambda kernel, rows, rngs: calls.append(len(rows)) or real(kernel, rows, rngs))
+        assert run_experiment(spec, mode="reference", workers=workers, stride=sweep.REDUCED_STRIDE) == serial
+        assert pool_starts == []
+        assert calls == [50]
+
+    @pytest.mark.parametrize("workers,plans,pools", [(1, 1, []), (2, 2, [2])])
+    def test_calls_planned_only_in_the_parent(self, pool_starts, monkeypatch, workers, plans, pools):
+        # the inline pool runs each chunk in this process, so a chunk planned again would count here
+        planned = []
+        real = sweep._calls
+        monkeypatch.setattr(sweep, "_calls", lambda *args: planned.append(args) or real(*args))
+        run_experiment(n_sweep_spec(), workers=workers)
+        assert len(planned) == plans
+        assert pool_starts == pools
+
+    def test_one_worker_per_chunk_at_most(self, pool_starts, monkeypatch):
         spec = skewed_spec()
-        chunks = len(sweep._chunk_plan(call_costs(spec, 64)))
-        assert run_experiment(spec, workers=64) == run_experiment(spec, workers=1)
-        assert pool_starts == [min(64, chunks)]
+        split = sweep._calls(spec_tasks(spec), "fast", 64)
+        plan = sweep._chunk_plan([kernel.price(len(call)) for kernel, call in split])
+        serial = run_experiment(spec, workers=1)
+        calls = []
+        real = sweep._run_rows
+        monkeypatch.setattr(sweep, "_run_rows", lambda kernel, rows, rngs: calls.append(len(rows)) or real(kernel, rows, rngs))
+        assert run_experiment(spec, workers=64) == serial
+        assert pool_starts == [min(64, len(plan))]
+        # the workers run the split calls the pool was priced on, chunk after chunk
+        assert calls == [len(split[c][1]) for chunk in plan for c in chunk]
 
     def test_single_chunk_runs_without_a_pool(self, pool_starts):
         assert len(sweep._chunk_plan(call_costs(tiny_spec(), 2))) == 1
@@ -552,20 +579,23 @@ class TestSchedule:
     @given(
         st.lists(st.floats(min_value=0.0, max_value=6e4), min_size=1, max_size=60),
         st.integers(min_value=2, max_value=64),
+        st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_pool_only_when_it_pays_for_its_start_up(self, costs, workers):
+    def test_pool_only_when_it_pays_for_its_start_up(self, costs, workers, unsplit_share):
+        # the bar is the price of the unsplit calls, at most the split total
         plan = sweep._chunk_plan(costs)
-        size = sweep._pool_size(costs, plan, workers)
         total = sum(costs)
+        bar = unsplit_share * total
+        size = sweep._pool_size(costs, plan, workers, bar)
         largest = max(sum(costs[i] for i in chunk) for chunk in plan)
         if len(plan) == 1:
             assert size == 0
         if size:
             assert size == min(workers, len(plan))
-            assert sweep._POOL_WORKER_US * size + max(total / size, largest) < total
+            assert sweep._POOL_WORKER_US * size + max(total / size, largest) < bar
         else:
             k = min(workers, len(plan))
-            assert sweep._POOL_WORKER_US * k + max(total / k, largest) >= total
+            assert sweep._POOL_WORKER_US * k + max(total / k, largest) >= bar
 
     def test_unknown_mode_rejected_before_any_run(self, pool_starts):
         spec = n_sweep_spec()
