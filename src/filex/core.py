@@ -378,26 +378,6 @@ _MULTINOMIAL_ROW_SYMBOL_US = 0.18
 _ROW_NUMBERS = 1 << 12
 
 
-def _block_loop_us(beta: int, n: int) -> float:
-    """Modelled loop time of one run of the block copy kernel, in microseconds."""
-    return -(-n // max(1, _BLOCK_DRAWS // beta)) * _BLOCK_US + n * beta * _BLOCK_DRAW_US
-
-
-def _pick(params: ProcessParams, mode: str) -> Callable[..., np.ndarray]:
-    """The kernel a run of ``params`` takes in ``mode``: (rows, rngs) -> final weights, one row per run.
-
-    This is the one map from a sampler mode to its kernels. Reference mode
-    has one kernel; fast mode picks whichever of the multinomial loop and the
-    block copy kernel has the lower modelled loop time for one run, and a tie
-    goes to the multinomial loop. The pick depends on mode, beta, s and n
-    only, never on alpha, so a run takes the same kernel alone as in any call.
-    """
-    if _check_mode(mode) == "reference":
-        return _reference_rows
-    multinomial = params.n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * params.s)
-    return _multinomial_rows if multinomial <= _block_loop_us(params.beta, params.n) else _block_rows
-
-
 class Kernel(NamedTuple):
     """The kernel a run takes, what the rows of one call of it share, and the call's price.
 
@@ -417,24 +397,29 @@ class Kernel(NamedTuple):
 
 
 def _kernel(params: ProcessParams, mode: str) -> Kernel:
-    """The kernel :func:`_pick` gives ``params`` and ``mode``, with its group key, call price and row cap.
+    """The kernel a run of ``params`` takes in ``mode``, with its group key, call price and row cap.
 
+    This is the one map from a sampler mode to its kernels. Reference mode
+    has one kernel; fast mode picks whichever of the multinomial loop and the
+    block copy kernel has the lower modelled loop time for one run, and a tie
+    goes to the multinomial loop. The pick depends on mode, beta, s and n
+    only, never on alpha, so a run takes the same kernel alone as in any call.
     The multinomial loop draws each row's counts with the row's own beta, so
     its rows share (s, n); the other two share (beta, s, n). A row's numbers
     per iteration are its weights, plus its draws in the reference loop,
     which sets the row cap.
     """
     beta, s, n = params.beta, params.s, params.n
-    run = _pick(params, mode)
     loop_call_us = _CALL_US + n * _CALL_ITERATION_US
-    if run is _reference_rows:
+    if _check_mode(mode) == "reference":
         row_us = _ROW_US + n * (_REFERENCE_ROW_DRAW_US * beta + _REFERENCE_ROW_SYMBOL_US * s)
-        return Kernel(run, (beta, s, n), loop_call_us, row_us, max(1, _ROW_NUMBERS // (s + beta)))
+        return Kernel(_reference_rows, (beta, s, n), loop_call_us, row_us, max(1, _ROW_NUMBERS // (s + beta)))
     max_rows = max(1, _ROW_NUMBERS // s)
-    if run is _multinomial_rows:
+    block_us = -(-n // max(1, _BLOCK_DRAWS // beta)) * _BLOCK_US + n * beta * _BLOCK_DRAW_US
+    if n * (_MULTINOMIAL_ITERATION_US + _MULTINOMIAL_SYMBOL_US * s) <= block_us:
         row_us = _ROW_US + n * (_MULTINOMIAL_ROW_ITERATION_US + _MULTINOMIAL_ROW_SYMBOL_US * s)
-        return Kernel(run, (s, n), loop_call_us, row_us, max_rows)
-    return Kernel(run, (beta, s, n), _CALL_US, _ROW_US + _block_loop_us(beta, n), max_rows)
+        return Kernel(_multinomial_rows, (s, n), loop_call_us, row_us, max_rows)
+    return Kernel(_block_rows, (beta, s, n), _CALL_US, _ROW_US + block_us, max_rows)
 
 
 def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
@@ -475,14 +460,14 @@ def _normalize(weights: np.ndarray) -> np.ndarray:
 def run(params: ProcessParams, rng: RandomStream, mode: str = "fast") -> Distribution:
     """Run the whole process and return the normalized final distribution.
 
-    Runs the kernel :func:`_pick` gives ``params`` and ``mode``, as its
+    Runs the kernel :func:`_kernel` gives ``params`` and ``mode``, as its
     one row. ``mode="reference"`` draws every symbol individually and is bit-identical
     to folding :func:`step` over the initial state. ``mode="fast"`` runs the
     multinomial loop, bit-identical to folding :func:`step_fast`, or the block
     copy kernel. All sample the same law, and the pick depends on ``params``
     and ``mode`` alone, so a run still depends only on its parameters and seed.
     """
-    return Distribution(_normalize(_pick(params, mode)([params], [rng]))[0])
+    return Distribution(_normalize(_kernel(params, mode).run([params], [rng]))[0])
 
 
 def _run_rows(
@@ -523,5 +508,5 @@ def run_traced(params: ProcessParams, rng: RandomStream, increment_scale: float 
     sink: list[np.ndarray] = []
     w = _reference_rows([params], [rng], sink)
     dist = Distribution(_normalize(w)[0])
-    final = WeightState(w[0] if scale == 1.0 else scale * w[0], params.n)
+    final = WeightState(scale * w[0], params.n)
     return TraceResult(dist, final, np.array(sink, dtype=np.int64).reshape(-1))

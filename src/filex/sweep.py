@@ -10,6 +10,7 @@ not depend on worker count or scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -309,6 +310,11 @@ def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int, bar:
     return k if _POOL_WORKER_US * k + max(sum(costs) / k, largest) < bar else 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the pool rule models one CPU per worker."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _run_tasks(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int) -> list[float]:
     """Entropy of every task, in task order: the one place a sweep is planned.
 
@@ -317,8 +323,11 @@ def _run_tasks(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int) 
     ``workers``, cut into the chunks of :func:`_chunk_plan`, which go to a
     pool if :func:`_pool_size` finds one that beats the unsplit calls.
     Workers run their chunks' calls as planned. Each task's entropy depends
-    only on the task, so neither plan can change the result.
+    only on the task, so neither plan can change the result. ``workers`` is
+    capped at the usable CPUs, so the plan and the pool never count on more
+    processes than can run at once.
     """
+    workers = min(workers, _usable_cpus())
     calls = _calls(tasks, mode)
     chunks, size = [calls], 0
     if workers > 1:

@@ -49,3 +49,11 @@ def real_pool_starts(monkeypatch):
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SpyPool)
     return starts
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` lets sweeps count on k usable CPUs, for plans and pools of up to k workers."""
+    from filex import sweep
+
+    return lambda count: monkeypatch.setattr(sweep, "_usable_cpus", lambda: count)

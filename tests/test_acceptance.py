@@ -31,7 +31,7 @@ from filex.core import (
     ProcessParams,
     _BLOCK_DRAWS,
     _block_rows,
-    _pick,
+    _kernel,
     _run_rows,
     init_weights,
     make_stream,
@@ -207,7 +207,7 @@ def test_criterion_3_polya_urn_oracle():
     tallies = {0.75: 0, 0.5: 0, 0.25: 0}
     trials, rows = 300_000, 1000
     assert _BLOCK_DRAWS // (params.beta * rows) >= params.n
-    kernel = _pick(params, "reference")
+    kernel = _kernel(params, "reference").run
     first = np.concatenate([_run_rows(kernel, [params] * rows, [rng] * rows)[:, 0] for _ in range(trials // rows)])
     for p, count in zip(*(a.tolist() for a in np.unique(first, return_counts=True))):
         tallies[p] += count
@@ -256,7 +256,7 @@ def test_criterion_4_fast_path_equivalence():
                     continue
                 expected = enumerate_outcome_distribution(Fraction(2), beta, s, n)
                 observed = _outcome_counts(
-                    _pick(ProcessParams(alpha, beta, s, n), "fast"),
+                    _kernel(ProcessParams(alpha, beta, s, n), "fast").run,
                     alpha, beta, s, n, samples, MASTER_SEED + 40 + s * 100 + beta * 10 + n,
                 )
                 p_value = chi2_gof_pvalue(observed, expected, samples)
@@ -403,8 +403,10 @@ def test_criterion_9_n_sweep_decile_shape(canonical_records, exact_entropy):
 
 # -- criterion 10: determinism across workers -----------------------------------
 
-def test_criterion_10_worker_determinism(tmp_path, real_pool_starts):
+def test_criterion_10_worker_determinism(tmp_path, real_pool_starts, cpus):
     # n is large enough (65 ms modelled) that the 4-worker run pays for a pool
+    # on a host with 4 CPUs, and the pool rule may count on them here
+    cpus(4)
     spec = ExperimentSpec(
         name="determinism",
         varied="alpha",

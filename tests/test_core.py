@@ -30,7 +30,6 @@ from filex.core import (
     _inverse_cdf_counts,
     _kernel,
     _multinomial_rows,
-    _pick,
     _reference_rows,
     _run_rows,
     init_weights,
@@ -292,8 +291,6 @@ class TestRun:
         with pytest.raises(InvalidParameterError):
             run(ProcessParams(1.0, 1, 2, 1), make_stream(16), mode="bogus")
         with pytest.raises(InvalidParameterError, match="mode"):
-            _pick(ProcessParams(1.0, 1, 2, 1), "bogus")
-        with pytest.raises(InvalidParameterError, match="mode"):
             _kernel(ProcessParams(1.0, 1, 2, 1), "bogus")
 
     @pytest.mark.parametrize(
@@ -303,7 +300,7 @@ class TestRun:
         # fast mode folds step_fast only where the cost rule keeps the multinomial loop
         params = ProcessParams(0.5, beta, 16, 150)
         if mode == "fast":
-            assert _pick(params, "fast") is _multinomial_rows
+            assert _kernel(params, "fast").run is _multinomial_rows
         dist = run(params, make_stream(17), mode)
         state = init_weights(params)
         rng = make_stream(17)
@@ -337,7 +334,7 @@ class TestRun:
         params = ProcessParams(alpha, beta, s, n)
         rng = make_stream(20)
         trials = 60_000
-        probs = _run_rows(_pick(params, "fast"), [params] * trials, [rng] * trials)
+        probs = _run_rows(_kernel(params, "fast").run, [params] * trials, [rng] * trials)
         assert chi2_gof_pvalue(hit_count_outcomes(probs, alpha, beta, s, n), expected, trials) > 0.01
 
     @pytest.mark.parametrize("mode", ["reference", "fast"])
@@ -347,9 +344,9 @@ class TestRun:
             for s in (1, 3, 64):
                 for beta in (1, 3, 5, 10):
                     for n in (0, 1, 2, 3):
-                        assert _pick(ProcessParams(2.0, beta, s, n), mode) is _multinomial_rows
-            assert _pick(ProcessParams(1e-3, 32768, 64, 10_000), mode) is _multinomial_rows
-            assert _pick(ProcessParams(1.0, 5, 64, 100_000), mode) is _block_rows
+                        assert _kernel(ProcessParams(2.0, beta, s, n), mode).run is _multinomial_rows
+            assert _kernel(ProcessParams(1e-3, 32768, 64, 10_000), mode).run is _multinomial_rows
+            assert _kernel(ProcessParams(1.0, 5, 64, 100_000), mode).run is _block_rows
         # over a grid, the kernel run is the one the pick rates cheapest (a tie goes to the
         # multinomial loop), with its group key, call price and row cap
         for alpha in (1e-3, 1.0, 64.0):
@@ -370,7 +367,6 @@ class TestRun:
                                 expected = (_multinomial_rows, (s, n), loop_call, row, max(1, _ROW_NUMBERS // s))
                             else:
                                 expected = (_block_rows, (beta, s, n), _CALL_US, _ROW_US + block, max(1, _ROW_NUMBERS // s))
-                        assert _pick(params, mode) is expected[0]
                         assert _kernel(params, mode) == expected
                         assert _kernel(params, mode).price(3) == expected[2] + 3 * expected[3]
 

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from filex.core import (
     _block_rows,
     _kernel,
     _multinomial_rows,
-    _pick,
     init_weights,
     make_stream,
     run,
@@ -280,7 +280,7 @@ def entropy_alone(params, seed, mode):
     """Entropy of one run, by folding ``step`` (reference) or ``step_fast`` (the
     multinomial loop) over the initial weights, or by ``run`` (the block kernel)."""
     rng = make_stream(seed)
-    if _pick(params, mode) is _block_rows:
+    if _kernel(params, mode).run is _block_rows:
         return shannon_entropy_bits(run(params, rng, mode))
     state = init_weights(params)
     for _ in range(params.n):
@@ -422,7 +422,10 @@ def pool_size(spec, workers, mode="fast", stride=1):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Swap the process pool for an in-process one; list the worker count of each pool started."""
+    """Swap the process pool for an in-process one on 2 usable CPUs; list the worker count of each pool started.
+
+    A test that plans for more workers sets more CPUs with ``cpus``.
+    """
     starts = []
 
     class InlinePool:
@@ -439,6 +442,7 @@ def pool_starts(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     return starts
 
 
@@ -504,7 +508,8 @@ class TestSchedule:
         assert pool_starts == [2]
         assert calls == [25, 25]
 
-    def test_skewed_records_equal_for_any_worker_count(self, real_pool_starts):
+    def test_skewed_records_equal_for_any_worker_count(self, real_pool_starts, cpus):
+        cpus(3)
         spec = skewed_spec()
         assert pool_size(spec, 2) == 2 and pool_size(spec, 3) == 3
         serial = run_experiment(spec, workers=1)
@@ -513,9 +518,10 @@ class TestSchedule:
         assert real_pool_starts == [2, 3]
 
     @pytest.mark.parametrize("workers", [16, 64])
-    def test_split_calls_do_not_buy_a_pool(self, pool_starts, monkeypatch, workers):
+    def test_split_calls_do_not_buy_a_pool(self, pool_starts, monkeypatch, cpus, workers):
         # split 16 or 50 ways, its 50 runs are priced at 213 or 435 ms, against 115 ms for the one
         # call that runs when no pool starts: the split's extra calls must not pay for a pool
+        cpus(workers)
         spec = canonical_experiments(1)[0]
         serial = run_experiment(spec, mode="reference", stride=sweep.REDUCED_STRIDE)
         calls = []
@@ -535,7 +541,8 @@ class TestSchedule:
         assert len(planned) == plans
         assert pool_starts == pools
 
-    def test_one_worker_per_chunk_at_most(self, pool_starts, monkeypatch):
+    def test_one_worker_per_chunk_at_most(self, pool_starts, monkeypatch, cpus):
+        cpus(64)
         spec = skewed_spec()
         split = sweep._calls(spec_tasks(spec), "fast", 64)
         plan = sweep._chunk_plan([kernel.price(len(call)) for kernel, call in split])
@@ -547,6 +554,22 @@ class TestSchedule:
         assert pool_starts == [min(64, len(plan))]
         # the workers run the split calls the pool was priced on, chunk after chunk
         assert calls == [len(split[c][1]) for chunk in plan for c in chunk]
+
+    def test_pool_never_outnumbers_the_cpus(self, pool_starts, monkeypatch):
+        # 64 workers on the fixture's 2 CPUs plan, price and pool as 2 workers do
+        spec = skewed_spec()
+        split = sweep._calls(spec_tasks(spec), "fast", 2)
+        plan = sweep._chunk_plan([kernel.price(len(call)) for kernel, call in split])
+        serial = run_experiment(spec, workers=1)
+        calls = []
+        real = sweep._run_rows
+        monkeypatch.setattr(sweep, "_run_rows", lambda kernel, rows, rngs: calls.append(len(rows)) or real(kernel, rows, rngs))
+        assert run_experiment(spec, workers=64) == serial
+        assert pool_starts == [2]
+        assert calls == [len(split[c][1]) for chunk in plan for c in chunk]
+
+    def test_usable_cpus_is_a_positive_count(self):
+        assert 1 <= sweep._usable_cpus() <= (os.cpu_count() or 1)
 
     def test_single_chunk_runs_without_a_pool(self, pool_starts):
         assert len(sweep._chunk_plan(call_costs(tiny_spec(), 2))) == 1
