@@ -1,6 +1,10 @@
 """Configuration files, CSV persistence, table rendering, and SVG plots.
 
-Config files are flat ``key = value`` text; unknown keys are rejected. CSVs
+Config files are flat ``key = value`` text; unknown keys are rejected. The
+keys, their types and which are required come from the scalar fields of
+:class:`ProcessParams` and :class:`RunConfig` (``filex run``) and of
+:class:`ExperimentSpec` and :class:`SweepSpec` (``filex sweep``). A leading
+UTF-8 byte-order mark is ignored in config and CSV files. CSVs
 carry one row per run with floats rendered at 17 significant digits so that
 parsing them back is lossless and rewriting them is byte-identical. Plots are
 emitted as self-contained SVG 1.1 scatter charts.
@@ -11,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 from xml.sax.saxutils import escape
 
 from .core import _MAX_SEED, ProcessParams, _check_count, _check_mode, _check_positive
@@ -45,11 +49,14 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _read_utf8(path, error) -> str:
-    """The text of the UTF-8 file at ``path``; bytes that do not decode raise ``error(line, message)``."""
+    """The text of the UTF-8 file at ``path``, less one leading byte-order mark.
+
+    Bytes that do not decode raise ``error(line, message)``; line and byte count the mark.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(line, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -60,32 +67,41 @@ def load_config(path) -> dict[str, str]:
     return parse_config_text(text)
 
 
-def _parse_typed(key: str, raw: str, kind: str):
-    try:
-        if kind == "int":
-            value = int(raw)
-        elif kind == "float":
-            value = float(raw)
-        elif kind == "bool":
-            if raw not in ("true", "false"):
-                raise ValueError("expected 'true' or 'false'")
-            value = raw == "true"
-        else:
-            value = raw
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {key}: {raw!r} ({exc})") from None
-    return value
+def _bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError("expected 'true' or 'false'")
+    return raw == "true"
 
 
-def _take(cfg: dict[str, str], schema: dict[str, tuple[str, bool]]) -> dict:
-    """Validate keys against a schema of name -> (type, required)."""
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool}
+
+
+def _schema(*classes) -> dict[str, tuple[Callable[[str], object], bool]]:
+    """Config keys of the dataclasses' scalar fields: name -> (parser, required).
+
+    An ``int``, ``float``, ``str`` or ``bool`` field, or one of these or None,
+    is a key, required when it has no default; fields of other types are not.
+    """
+    return {
+        f.name: (_PARSERS[kind], f.default is dataclasses.MISSING)
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if (kind := f.type.removesuffix(" | None")) in _PARSERS
+    }
+
+
+def _take(cfg: dict[str, str], schema: dict[str, tuple[Callable[[str], object], bool]]) -> dict:
+    """Validate keys against a schema of name -> (parser, required)."""
     for key in cfg:
         if key not in schema:
             raise ConfigError(f"unknown key: {key}")
     out = {}
-    for key, (kind, required) in schema.items():
+    for key, (parse, required) in schema.items():
         if key in cfg:
-            out[key] = _parse_typed(key, cfg[key], kind)
+            try:
+                out[key] = parse(cfg[key])
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {key}: {cfg[key]!r} ({exc})") from None
         elif required:
             raise ConfigError(f"missing key: {key}")
     return out
@@ -99,21 +115,13 @@ class RunConfig:
     show_distribution: bool = False
 
 
-_RUN_SCHEMA = {
-    "alpha": ("float", True),
-    "beta": ("int", True),
-    "s": ("int", True),
-    "n": ("int", True),
-    "seed": ("int", True),
-    "mode": ("str", False),
-    "show_distribution": ("bool", False),
-}
+_RUN_SCHEMA = _schema(ProcessParams, RunConfig)
 
 
 def run_config_from_mapping(cfg: dict[str, str]) -> RunConfig:
     values = _take(cfg, _RUN_SCHEMA)
     try:
-        params = ProcessParams(*(values.pop(key) for key in ("alpha", "beta", "s", "n")))
+        params = ProcessParams(*(values.pop(key) for key in VARIED_NAMES))
         values["seed"] = _check_count("seed", values["seed"], 0, _MAX_SEED)
         if "mode" in values:
             _check_mode(values["mode"])
@@ -122,27 +130,8 @@ def run_config_from_mapping(cfg: dict[str, str]) -> RunConfig:
     return RunConfig(params=params, **values)
 
 
-_CANONICAL_SCHEMA = {
-    "experiment": ("str", True),
-    "master_seed": ("int", False),
-    "replicates": ("int", False),
-}
-
-_CUSTOM_SCHEMA = {
-    "name": ("str", True),
-    "varied": ("str", True),
-    "low": ("float", True),
-    "high": ("float", True),
-    "steps": ("int", True),
-    "integral": ("bool", False),
-    "alpha": ("float", False),
-    "beta": ("int", False),
-    "s": ("int", False),
-    "n": ("int", False),
-    "alpha_coupled_to_s": ("bool", False),
-    "replicates": ("int", False),
-    "master_seed": ("int", False),
-}
+_CUSTOM_SCHEMA = _schema(ExperimentSpec, SweepSpec)
+_CANONICAL_SCHEMA = {"experiment": (str, True), **{key: _CUSTOM_SCHEMA[key] for key in ("master_seed", "replicates")}}
 
 
 def experiment_config_from_mapping(cfg: dict[str, str], seed_override: int | None = None) -> ExperimentSpec:
@@ -163,7 +152,7 @@ def experiment_config_from_mapping(cfg: dict[str, str], seed_override: int | Non
             name = values.pop("experiment")
             spec = next(s for s in canonical_experiments(seed) if s.name == name)
             return dataclasses.replace(spec, **values)
-        sweep = SweepSpec(**{key: values.pop(key) for key in ("low", "high", "steps", "integral") if key in values})
+        sweep = SweepSpec(**{f.name: values.pop(f.name) for f in dataclasses.fields(SweepSpec) if f.name in values})
         return ExperimentSpec(sweep=sweep, master_seed=seed, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

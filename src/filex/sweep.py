@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +30,7 @@ from .core import (
 from .errors import InvalidParameterError
 from .stats import CorrelationResult, PairedSeries, _entropy_bits_rows, kendall_tau
 
-VARIED_NAMES = ("alpha", "beta", "s", "n")
+VARIED_NAMES = tuple(f.name for f in fields(ProcessParams))
 
 # Coupled alpha for lexicon-size sweeps: every symbol starts at the same
 # per-symbol weight regardless of s.
@@ -144,16 +144,11 @@ class ExperimentSpec:
 
     def params_at(self, value) -> ProcessParams:
         """Process parameters for one sweep value of the varied hyperparameter."""
-        fields = {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "s": self.s,
-            "n": self.n,
-            self.varied: value,
-        }
+        values = {name: getattr(self, name) for name in VARIED_NAMES}
+        values[self.varied] = value
         if self.alpha_coupled_to_s:
-            fields["alpha"] = ALPHA_PER_SYMBOL_COUPLING * fields["s"]
-        return ProcessParams(**fields)
+            values["alpha"] = ALPHA_PER_SYMBOL_COUPLING * values["s"]
+        return ProcessParams(**values)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the definitions rather than
 reusing package code paths: correlation by explicit pair classification,
-process outcome distributions by exact rational enumeration, and expected
-entropy at sweep sizes by an exact dynamic program over one symbol's hit count.
+process outcome distributions by exact rational enumeration, and one
+symbol's hit-count law and the expected entropy at sweep sizes by an exact
+dynamic program over that hit count.
 Nothing here imports ``filex``.
 """
 
@@ -96,36 +97,30 @@ def enumerate_outcome_distribution(alpha: Fraction, beta: int, s: int, n: int) -
     return states
 
 
-def expected_entropy_curve(alpha: float, beta: int, s: int, ns) -> np.ndarray:
-    """Exact E[H] (bits) of the final distribution after each n in ``ns``.
+def _lumped_chain(alpha: float, beta: int, s: int, n_max: int):
+    """Yield ``(p, law)`` after each k = 0, ..., n_max iterations, by an exact dynamic program.
 
-    All symbols are exchangeable, so by linearity E[H] = s * E[-q1 log2 q1],
-    where q1 is symbol 1's final probability. Lumping the other s - 1 symbols
-    together leaves an exact one-dimensional Markov chain (the process is
-    lumpable with respect to {symbol 1, rest}): with c_k symbol 1's hit count
-    after k iterations,
-    c_{k+1} = c_k + Binomial(beta, (alpha/s + c_k/beta)/(alpha+k)).
-    The law of c_k is carried as a vector over c in [0, beta*k], and every
-    iteration convolves it with that state-dependent binomial.
+    All symbols are exchangeable, and lumping all but symbol 1 together
+    leaves an exact one-dimensional Markov chain (the process is lumpable
+    with respect to {symbol 1, rest}): with c_k symbol 1's hit count after k
+    iterations, c_{k+1} = c_k + Binomial(beta, (alpha/s + c_k/beta)/(alpha+k)).
+    ``law[c]`` is P(c_k = c) over c in [0, beta*k], and ``p[c]`` is symbol
+    1's probability q1 at that count; every iteration convolves the law with
+    that state-dependent binomial.
 
     The probabilities of a hit (p) and of a miss (r) are each formed from
     their own masses rather than r = 1 - p, so p = 1 at s = 1 gives r = 0
     exactly; with the power r**0 = 1 seeded explicitly, no 0 * inf arises.
-    Cost is about beta**2 * max(ns)**2 / 2 multiply-adds.
+    Cost is about beta**2 * n_max**2 / 2 multiply-adds.
     """
-    ns = [int(v) for v in ns]
-    n_max = max(ns)
     coeff = [float(math.comb(beta, j)) for j in range(beta + 1)]
-    out = np.empty(len(ns))
     law = np.ones(1)  # c_0 = 0 with certainty
     for k in range(n_max + 1):
         c = np.arange(beta * k + 1)
-        p = (alpha / s + c / beta) / (alpha + k)  # symbol 1's probability q1 after k iterations
-        columns = [i for i, m in enumerate(ns) if m == k]
-        if columns:
-            out[columns] = s * float(np.dot(law, -p * np.log2(p)))
+        p = (alpha / s + c / beta) / (alpha + k)
+        yield p, law
         if k == n_max:
-            break
+            return
         r = (alpha * (s - 1) / s + (beta * k - c) / beta) / (alpha + k)
         r_pow = [np.ones_like(r)]
         for _ in range(beta):
@@ -136,6 +131,30 @@ def expected_entropy_curve(alpha: float, beta: int, s: int, ns) -> np.ndarray:
             nxt[j:j + c.size] += coeff[j] * term * r_pow[beta - j]
             term *= p
         law = nxt
+
+
+def hit_count_law(alpha: float, beta: int, s: int, n: int) -> np.ndarray:
+    """Exact law of one symbol's final hit count: element c is P(c_n = c), c in [0, beta*n].
+
+    Every symbol has this law; see :func:`_lumped_chain`.
+    """
+    for _, law in _lumped_chain(alpha, beta, s, n):
+        pass
+    return law
+
+
+def expected_entropy_curve(alpha: float, beta: int, s: int, ns) -> np.ndarray:
+    """Exact E[H] (bits) of the final distribution after each n in ``ns``.
+
+    By linearity E[H] = s * E[-q1 log2 q1], where q1 is symbol 1's final
+    probability, taken over the law of :func:`_lumped_chain`.
+    """
+    ns = [int(v) for v in ns]
+    out = np.empty(len(ns))
+    for k, (p, law) in enumerate(_lumped_chain(alpha, beta, s, max(ns))):
+        columns = [i for i, m in enumerate(ns) if m == k]
+        if columns:
+            out[columns] = s * float(np.dot(law, -p * np.log2(p)))
     return out
 
 
@@ -176,8 +195,31 @@ def chi2_gof_pvalue(observed: dict, expected: dict[object, Fraction], n_samples:
     return float(result.pvalue)
 
 
-def hit_count_outcomes(probs: np.ndarray, alpha: float, beta: int, s: int, n: int) -> dict[tuple[int, ...], int]:
-    """Tally the rows of final normalized distributions ``probs`` by their total hit counts.
+def binned_chi2_pvalue(counts: np.ndarray, law: np.ndarray, min_expected: float) -> float:
+    """Goodness-of-fit p-value of integer ``counts`` against ``law`` (element c is P(count = c)).
+
+    Neighbouring counts are pooled, from 0 upwards, into cells that each
+    expect at least ``min_expected`` samples; a short remainder at the top
+    joins the last cell. Every count must lie in the law's support.
+    """
+    counts = np.asarray(counts)
+    assert counts.min() >= 0 and counts.max() < law.size, "counts outside the law's support"
+    expected = law * counts.size
+    edges, acc = [0], 0.0
+    for c, e in enumerate(expected):
+        acc += e
+        if acc >= min_expected:
+            edges.append(c + 1)
+            acc = 0.0
+    edges[-1] = law.size
+    assert len(edges) > 2, "fewer than two cells"
+    f_exp = np.add.reduceat(expected, edges[:-1])
+    f_obs = np.add.reduceat(np.bincount(counts, minlength=law.size), edges[:-1])
+    return float(scipy_stats.chisquare(f_obs, f_exp).pvalue)
+
+
+def hit_counts(probs: np.ndarray, alpha: float, beta: int, s: int, n: int) -> np.ndarray:
+    """The total hit counts behind final normalized distributions ``probs``, one row per run.
 
     Row r's weights are ``probs[r] * (alpha + n)``, and each symbol's weight is
     alpha/s plus 1/beta per hit, so its hit counts are integers up to rounding.
@@ -185,5 +227,10 @@ def hit_count_outcomes(probs: np.ndarray, alpha: float, beta: int, s: int, n: in
     exact = (np.asarray(probs) * (alpha + n) - alpha / s) * beta
     counts = np.rint(exact)
     assert np.all(np.abs(exact - counts) < 1e-6)
-    outcomes, tallies = np.unique(counts.astype(np.int64), axis=0, return_counts=True)
+    return counts.astype(np.int64)
+
+
+def hit_count_outcomes(probs: np.ndarray, alpha: float, beta: int, s: int, n: int) -> dict[tuple[int, ...], int]:
+    """Tally the rows of final normalized distributions ``probs`` by their total hit counts (:func:`hit_counts`)."""
+    outcomes, tallies = np.unique(hit_counts(probs, alpha, beta, s, n), axis=0, return_counts=True)
     return {tuple(outcome.tolist()): int(tally) for outcome, tally in zip(outcomes, tallies)}

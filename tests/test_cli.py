@@ -313,3 +313,55 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_in_config_is_ignored(tmp_path, capsys):
+    # a leading byte-order mark, as Windows editors often save a config
+    config = b"experiment = alpha\nmaster_seed = 1\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(config)
+    marked.write_bytes(BOM + config)
+    outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+    for cfg, out in zip((plain, marked), outs):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--preset", "reduced"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # a decode error still counts lines and bytes in the file as it is, mark included
+    marked.write_bytes(BOM + config.replace(b"= 1", b"= 1\xff"))
+    assert main(["sweep", "--config", str(marked), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.endswith("error: invalid line 2: not UTF-8 text (invalid start byte at byte 37)\n")
+
+
+def test_byte_order_mark_in_csv_is_ignored(tmp_path, capsys):
+    cfg = write(tmp_path / "exp.cfg", SWEEP_MINI)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(plain)]) == 0
+    marked.write_bytes(BOM + plain.read_bytes())
+    capsys.readouterr()
+    assert main(["table", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["table", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+CONFIG_FORMAT_ERRORS = {
+    "bool yes": ("sweep", SWEEP_MINI.replace("integral = true", "integral = yes"),
+                 "invalid value for integral: 'yes' (expected 'true' or 'false')"),
+    "bool True": ("run", RUN_UNIFORM + "show_distribution = True\n",
+                  "invalid value for show_distribution: 'True' (expected 'true' or 'false')"),
+    "float steps": ("sweep", SWEEP_MINI.replace("steps = 10", "steps = 4.0"),
+                    "invalid value for steps: '4.0' (invalid literal for int() with base 10: '4.0')"),
+    "sweep key": ("sweep", SWEEP_MINI + "sweep = 1\n", "unknown key: sweep"),
+    "params key": ("run", RUN_UNIFORM + "params = 1\n", "unknown key: params"),
+}
+
+
+@pytest.mark.parametrize("command,config,message", CONFIG_FORMAT_ERRORS.values(), ids=CONFIG_FORMAT_ERRORS.keys())
+def test_config_format_error_exits_2(tmp_path, capsys, command, config, message):
+    cfg = write(tmp_path / "x.cfg", config)
+    extra = ["--out", str(tmp_path / "x.csv")] if command == "sweep" else []
+    assert main([command, "--config", cfg, *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()

@@ -42,7 +42,15 @@ from filex.core import (
 from filex.errors import InvalidInputError, InvalidParameterError
 from filex.stats import shannon_entropy_bits
 
-from oracles import chi2_gof_pvalue, enumerate_outcome_distribution, expected_entropy_bits, hit_count_outcomes
+from oracles import (
+    binned_chi2_pvalue,
+    chi2_gof_pvalue,
+    enumerate_outcome_distribution,
+    expected_entropy_bits,
+    hit_count_law,
+    hit_count_outcomes,
+    hit_counts,
+)
 
 
 def linear_scan_sample(weights, u):
@@ -403,6 +411,38 @@ def test_shared_stream_rows_equal_calls_in_sequence(kernel, params, rows):
     rng = make_stream(27)
     alone = np.concatenate([kernel([params], [rng]) for _ in range(rows)])
     assert np.array_equal(kernel([params] * rows, [make_stream(27)] * rows), alone)
+
+
+# Symbol 0's final hit count at sweep sizes, one point per kernel: (mode,
+# kernel, (alpha, beta, s, n), runs, first seed). The multinomial loop's point
+# has beta >= 187, where the pick keeps it at s = 64. The three chi-square
+# tests share one 1% false-alarm budget (Bonferroni); the block kernel, the
+# cheapest, gets the most runs.
+HIT_LAW_POINTS = {
+    "block": ("fast", _block_rows, (0.3, 10, 64, 300), 4000, 1000),
+    "multinomial": ("fast", _multinomial_rows, (0.3, 200, 64, 40), 2000, 2000),
+    "reference": ("reference", _reference_rows, (0.3, 10, 64, 300), 2000, 3000),
+}
+HIT_LAW_P_GATE = 0.01 / len(HIT_LAW_POINTS)
+
+
+@pytest.mark.parametrize("mode,kernel,point,runs,first_seed", HIT_LAW_POINTS.values(), ids=HIT_LAW_POINTS.keys())
+def test_hit_count_law_at_sweep_size(mode, kernel, point, runs, first_seed):
+    """Symbol 0's final hit count follows the exact law, neighbouring counts pooled to at least 20 expected.
+
+    As in a sweep, the runs are the rows of calls of the kernel's row cap, each
+    row on its own stream.
+    """
+    params = ProcessParams(*point)
+    planned = _kernel(params, mode)
+    assert planned.run is kernel
+    seeds = range(first_seed, first_seed + runs)
+    probs = np.concatenate([
+        _run_rows(kernel, [params] * len(chunk), [make_stream(seed) for seed in chunk])
+        for chunk in (seeds[i:i + planned.max_rows] for i in range(0, runs, planned.max_rows))
+    ])
+    p_value = binned_chi2_pvalue(hit_counts(probs[:, 0], *point), hit_count_law(*point), min_expected=20)
+    assert p_value > HIT_LAW_P_GATE, f"chi-square rejects {kernel.__name__} at {point}: p={p_value:.2e}"
 
 
 class RecordingStream:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import enumerate_outcome_distribution, expected_entropy_bits, expected_entropy_curve
+from oracles import enumerate_outcome_distribution, expected_entropy_bits, expected_entropy_curve, hit_count_law
 
 
 def enumerated_mean_entropy(alpha: Fraction, beta: int, s: int, n: int) -> float:
@@ -67,3 +67,14 @@ def test_curve_agrees_with_pointwise_calls():
     ns = [9, 0, 4, 9]
     curve = expected_entropy_curve(0.5, 3, 6, ns)
     assert [expected_entropy_bits(0.5, 3, 6, n) for n in ns] == curve.tolist()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_hit_count_law_matches_enumeration(s, beta, n):
+    # the law of the first symbol's hit count is the enumerated outcomes' marginal
+    marginal = np.zeros(beta * n + 1)
+    for counts, prob in enumerate_outcome_distribution(Fraction(2), beta, s, n).items():
+        marginal[counts[0]] += float(prob)
+    assert np.max(np.abs(hit_count_law(2.0, beta, s, n) - marginal)) <= 1e-12

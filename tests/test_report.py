@@ -5,6 +5,9 @@ import pytest
 
 from filex.errors import ConfigError, CsvFormatError, InvalidInputError
 from filex.report import (
+    _CANONICAL_SCHEMA,
+    _CUSTOM_SCHEMA,
+    _RUN_SCHEMA,
     CSV_HEADER,
     PlotSpec,
     correlation_table_from_rows,
@@ -110,6 +113,31 @@ class TestExperimentConfig:
                 {"name": "m", "varied": "beta", "low": "1", "high": "8", "steps": "4",
                  "alpha": "1", "beta": "2", "s": "4", "n": "5", "master_seed": "1"}
             )
+
+
+class TestConfigKeys:
+    """The exact keys of each config form, so a dataclass field becomes a key only on purpose."""
+
+    def test_run_keys(self):
+        assert set(_RUN_SCHEMA) == {"alpha", "beta", "s", "n", "seed", "mode", "show_distribution"}
+        assert {key for key, (_, required) in _RUN_SCHEMA.items() if required} == {"alpha", "beta", "s", "n", "seed"}
+
+    def test_canonical_keys(self):
+        assert set(_CANONICAL_SCHEMA) == {"experiment", "master_seed", "replicates"}
+
+    def test_explicit_keys(self):
+        assert set(_CUSTOM_SCHEMA) == {
+            "name", "varied", "low", "high", "steps", "integral", "alpha", "beta", "s", "n",
+            "alpha_coupled_to_s", "replicates", "master_seed",
+        }
+
+    def test_explicit_missing_keys_named_in_order(self):
+        cfg = {}
+        required = (("name", "m"), ("varied", "n"), ("low", "2"), ("high", "8"), ("steps", "3"), ("master_seed", "1"))
+        for key, value in required:
+            with pytest.raises(ConfigError, match=f"^missing key: {key}$"):
+                experiment_config_from_mapping(cfg)
+            cfg[key] = value
 
 
 def small_records():
