@@ -29,8 +29,7 @@ from .sweep import (
     RunRecord,
     SweepSpec,
     canonical_experiments,
-    correlation_series,
-    correlation_table,
+    correlate,
     derive_run_seed,
     log_sweep,
     run_experiment,
@@ -58,8 +57,7 @@ __all__ = [
     "UndefinedCorrelationError",
     "WeightState",
     "canonical_experiments",
-    "correlation_series",
-    "correlation_table",
+    "correlate",
     "derive_run_seed",
     "init_weights",
     "kendall_tau",

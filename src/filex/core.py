@@ -145,9 +145,6 @@ class Distribution:
         _check_sums(p[None])
         object.__setattr__(self, "probs", p)
 
-    def __len__(self) -> int:
-        return self.probs.size
-
 
 def _initial_weights(rows: Sequence[ProcessParams]) -> np.ndarray:
     """One row per run, all ``s`` weights of the row equal to its ``alpha / s``: where every run starts."""

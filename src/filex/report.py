@@ -109,10 +109,16 @@ def _take(cfg: dict[str, str], schema: dict[str, tuple[Callable[[str], object], 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One ``filex run``: the process, its stream's seed in [0, 2**64) and the sampler mode."""
+
     params: ProcessParams
     seed: int
     mode: str = "fast"
     show_distribution: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0, _MAX_SEED))
+        _check_mode(self.mode)
 
 
 _RUN_SCHEMA = _schema(ProcessParams, RunConfig)
@@ -121,13 +127,9 @@ _RUN_SCHEMA = _schema(ProcessParams, RunConfig)
 def run_config_from_mapping(cfg: dict[str, str]) -> RunConfig:
     values = _take(cfg, _RUN_SCHEMA)
     try:
-        params = ProcessParams(*(values.pop(key) for key in VARIED_NAMES))
-        values["seed"] = _check_count("seed", values["seed"], 0, _MAX_SEED)
-        if "mode" in values:
-            _check_mode(values["mode"])
+        return RunConfig(ProcessParams(*(values.pop(key) for key in VARIED_NAMES)), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(params=params, **values)
 
 
 _CUSTOM_SCHEMA = _schema(ExperimentSpec, SweepSpec)
@@ -225,13 +227,6 @@ def read_records_csv(path) -> list[CsvRow]:
 
 # -- correlation table ------------------------------------------------------
 
-def _group_rows(rows: Iterable[CsvRow]) -> dict[tuple[str, str], list[CsvRow]]:
-    groups: dict[tuple[str, str], list[CsvRow]] = {}
-    for row in rows:
-        groups.setdefault((row.experiment, row.param_name), []).append(row)
-    return groups
-
-
 def correlation_table_from_rows(rows: Iterable[CsvRow]) -> list[tuple[str, str, CorrelationResult | str]]:
     """Per-experiment (name, axis label, correlation) from parsed CSV rows.
 
@@ -239,8 +234,11 @@ def correlation_table_from_rows(rows: Iterable[CsvRow]) -> list[tuple[str, str, 
     whose correlation is undefined yields a message string in place of the
     result.
     """
+    groups: dict[tuple[str, str], list[CsvRow]] = {}
+    for row in rows:
+        groups.setdefault((row.experiment, row.param_name), []).append(row)
     table: list[tuple[str, str, CorrelationResult | str]] = []
-    for (experiment, param_name), group in _group_rows(rows).items():
+    for (experiment, param_name), group in groups.items():
         try:
             result: CorrelationResult | str = correlate(param_name, group)
         except (UndefinedCorrelationError, InvalidInputError) as exc:
@@ -280,10 +278,12 @@ class PlotSpec:
     def __post_init__(self):
         if len(self.points) == 0:
             raise InvalidInputError("plot requires at least one record")
-        if self.y_max <= 0.0:
-            raise InvalidInputError(f"y_max must be positive, got {self.y_max}")
+        if not 0.0 < self.y_max < math.inf:  # NaN fails both comparisons
+            raise InvalidInputError(f"y_max must be positive and finite, got {self.y_max}")
         if not all(math.isfinite(x) and x > 0.0 for x, _ in self.points):
             raise InvalidInputError("log-x plot requires positive finite x values")
+        if any(math.isnan(y) for _, y in self.points):
+            raise InvalidInputError("plot y values must not be NaN")
 
 
 def _x_ticks(lo: float, hi: float) -> list[float]:

@@ -93,18 +93,17 @@ def _entropy_bits_rows(probs: np.ndarray) -> np.ndarray:
     return np.where(h <= 0.0, 0.0, h)
 
 
-def _count_inversions(values: np.ndarray) -> int:
-    """Number of pairs (i < j) with values[i] > values[j], by a bottom-up merge over dense ranks.
+def _count_inversions(rank: np.ndarray) -> int:
+    """Number of pairs (i < j) with rank[i] > rank[j], for integer ranks in [0, rank.size).
 
-    Each level merges adjacent pairs of sorted runs of ``width`` ranks. The
-    key ``pair * n + rank`` keeps the pairs apart, so one ``searchsorted`` of
-    the right runs' keys into the sorted left runs' keys counts, for every
-    right element, the left elements of its pair that rank strictly above it
-    (equal values are not inversions), and one sort of all keys merges every
-    pair.
+    A bottom-up merge: each level merges adjacent pairs of sorted runs of
+    ``width`` ranks. The key ``pair * n + rank`` keeps the pairs apart, so one
+    ``searchsorted`` of the right runs' keys into the sorted left runs' keys
+    counts, for every right element, the left elements of its pair that rank
+    strictly above it (equal ranks are not inversions), and one sort of all
+    keys merges every pair.
     """
-    n = values.size
-    rank = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    n = rank.size
     index = np.arange(n)
     count = 0
     width = 1
@@ -120,41 +119,33 @@ def _count_inversions(values: np.ndarray) -> int:
     return count
 
 
-def _tie_sizes(same: np.ndarray) -> list[int]:
-    """Sizes of the groups of two or more equal neighbours in a sorted series.
-
-    ``same[i]`` says whether items i and i + 1 are equal.
-    """
-    runs = np.diff(np.flatnonzero(np.r_[True, ~same, True]))
-    return runs[runs > 1].tolist()
-
-
 def kendall_tau(series: PairedSeries) -> CorrelationResult:
     """Tie-corrected Kendall tau-b with a two-sided asymptotic p-value.
 
-    Discordant pairs are counted in O(n log n) by sorting on (x, y) and merge
-    counting strict y-inversions; concordant minus discordant then follows from
-    the pair-count identity with the x, y, and joint tie totals. The p-value
-    uses the normal approximation to the null variance of the concordance
-    statistic with tie corrections.
+    Each series becomes dense ranks once (``np.unique``), whose counts are its
+    tie groups; a series of one rank is constant. Sorting the joint key
+    ``x_rank * (number of y ranks) + y_rank`` puts the pairs in (x, y) order
+    and gives the joint tie groups, and the merge count of strict inversions
+    of the y ranks in that order (:func:`_count_inversions`) is the number of
+    discordant pairs. Concordant minus discordant then follows from the pair-count
+    identity with the x, y, and joint tie totals. The p-value uses the normal
+    approximation to the null variance of the concordance statistic with tie
+    corrections.
     """
-    x, y = series.x, series.y
     n = len(series)
-    if np.all(x == x[0]) or np.all(y == y[0]):
+    _, x_rank, x_counts = np.unique(series.x, return_inverse=True, return_counts=True)
+    _, y_rank, y_counts = np.unique(series.y, return_inverse=True, return_counts=True)
+    if x_counts.size == 1 or y_counts.size == 1:
         raise UndefinedCorrelationError("correlation undefined: a series is constant")
-
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    y_sorted = np.sort(y)
-    x_same = xs[1:] == xs[:-1]
-    tx = _tie_sizes(x_same)
-    ty = _tie_sizes(y_sorted[1:] == y_sorted[:-1])
+    joint = np.sort(x_rank * y_counts.size + y_rank)
+    xy_counts = np.unique(joint, return_counts=True)[1]
+    tx, ty, txy = (counts[counts > 1].tolist() for counts in (x_counts, y_counts, xy_counts))
 
     n0 = n * (n - 1) // 2
     xtie = sum(t * (t - 1) // 2 for t in tx)
     ytie = sum(t * (t - 1) // 2 for t in ty)
-    ntie = sum(t * (t - 1) // 2 for t in _tie_sizes(x_same & (ys[1:] == ys[:-1])))
-    dis = _count_inversions(ys)
+    ntie = sum(t * (t - 1) // 2 for t in txy)
+    dis = _count_inversions(joint % y_counts.size)
 
     con_minus_dis = n0 - xtie - ytie + ntie - 2 * dis
     tau = con_minus_dis / math.sqrt((n0 - xtie) * (n0 - ytie))

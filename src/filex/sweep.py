@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     _MAX_SEED,
@@ -393,24 +393,12 @@ def sweep_axis(param_name: str) -> tuple[str, Callable[[float], float]]:
     return _AXES[param_name]
 
 
-def _series(param_name: str, records) -> PairedSeries:
-    # records: RunRecords or parsed CSV rows, both carrying param_value and entropy_bits
-    to_x = sweep_axis(param_name)[1]
-    return PairedSeries([to_x(r.param_value) for r in records], [r.entropy_bits for r in records])
-
-
-def correlation_series(spec: ExperimentSpec, records: Sequence[RunRecord]) -> PairedSeries:
-    """Paired (x, entropy) series for one experiment's records, x as :func:`sweep_axis` maps it."""
-    return _series(spec.varied, records)
-
-
 def correlate(param_name: str, records) -> CorrelationResult:
-    """Kendall tau-b between x and entropy over one sweep's RunRecords or CSV rows."""
-    return kendall_tau(_series(param_name, records))
+    """Kendall tau-b between x and entropy over one sweep's RunRecords or CSV rows.
 
-
-def correlation_table(
-    experiments: Iterable[tuple[ExperimentSpec, Sequence[RunRecord]]],
-) -> list[tuple[str, CorrelationResult]]:
-    """Kendall correlation between the swept hyperparameter and entropy."""
-    return [(spec.name, correlate(spec.varied, records)) for spec, records in experiments]
+    The one path from run records to a correlation: x is each record's
+    ``param_value`` as :func:`sweep_axis` maps it for ``param_name``, y its
+    ``entropy_bits``.
+    """
+    to_x = sweep_axis(param_name)[1]
+    return kendall_tau(PairedSeries([to_x(r.param_value) for r in records], [r.entropy_bits for r in records]))

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the definitions rather than
 reusing package code paths: correlation by explicit pair classification,
-process outcome distributions by exact rational enumeration, and one
-symbol's hit-count law and the expected entropy at sweep sizes by an exact
-dynamic program over that hit count.
+process outcome distributions by exact rational enumeration, one symbol's
+hit-count law and the expected entropy at sweep sizes by an exact dynamic
+program over that hit count, and the law of the number of symbols hit from
+the urn's copy form.
 Nothing here imports ``filex``.
 """
 
@@ -161,6 +162,71 @@ def expected_entropy_curve(alpha: float, beta: int, s: int, ns) -> np.ndarray:
 def expected_entropy_bits(alpha: float, beta: int, s: int, n: int) -> float:
     """Exact E[H] in bits after n iterations; see :func:`expected_entropy_curve`."""
     return float(expected_entropy_curve(alpha, beta, s, [n])[0])
+
+
+def _trim_tails(low: int, law: np.ndarray, tail: float) -> tuple[int, np.ndarray]:
+    """Drop the entries at each end of ``law`` (element i is P(low + i)) whose summed mass is at most ``tail``."""
+    first = int(np.searchsorted(np.cumsum(law), tail, side="right"))
+    last = law.size - int(np.searchsorted(np.cumsum(law[::-1]), tail, side="right"))
+    return low + first, law[first:last]
+
+
+def fresh_draw_law(alpha: float, beta: int, n: int, tail: float = 1e-18) -> tuple[int, np.ndarray]:
+    """Law of F, the number of fresh draws in n iterations, as ``(low, law)``: law[i] is P(F = low + i).
+
+    In the urn's copy form each draw of iteration j is, independently of all
+    others, a fresh uniform symbol with probability alpha/(alpha + j) and
+    otherwise a copy of an earlier draw. Every draw of iteration 0 is fresh,
+    so F = beta + sum over j = 1..n-1 of Binomial(beta, alpha/(alpha + j))
+    (F = 0 at n = 0). Each binomial is convolved in over a window of its mean
+    +- (10 SD + 40), checked to leave out at most ``tail`` at each end, and
+    at most ``tail`` of mass is trimmed from each end of F's law per
+    iteration, so the law sums to 1 within 4 n ``tail`` and rounding.
+    """
+    if n == 0:
+        return 0, np.ones(1)
+    low, law = beta, np.ones(1)
+    for j in range(1, n):
+        p = alpha / (alpha + j)
+        mean, spread = beta * p, 10.0 * math.sqrt(beta * p) + 40.0
+        k = np.arange(max(0, math.ceil(mean - spread)), min(beta, math.floor(mean + spread)) + 1)
+        # the window leaves out at most tail at each end
+        assert scipy_stats.binom.cdf(k[0] - 1, beta, p) <= tail and scipy_stats.binom.sf(k[-1], beta, p) <= tail
+        low, law = _trim_tails(low + k[0], np.convolve(law, scipy_stats.binom.pmf(k, beta, p)), tail)
+    return low, law
+
+
+def distinct_symbol_law(alpha: float, beta: int, s: int, n: int) -> np.ndarray:
+    """Exact law of K, the number of symbols hit at least once in n iterations: element k is P(K = k), k in [0, s].
+
+    A copy never hits a new symbol, and the fresh draws are uniform over the
+    s symbols independently of how many there are, so K is the occupancy of
+    F uniform balls in s boxes (:func:`fresh_draw_law`), mixed over F's law.
+    The occupancy law after f balls comes from the one before it: the next
+    ball lands in an occupied box with probability k/s.
+    """
+    low, f_law = fresh_draw_law(alpha, beta, n)
+    k = np.arange(s + 1)
+    occupancy = np.zeros(s + 1)
+    occupancy[0] = 1.0  # no balls, no box occupied
+    law = np.zeros(s + 1)
+    for f in range(low + f_law.size):
+        if f >= low:
+            law += f_law[f - low] * occupancy
+        occupancy = occupancy * (k / s) + np.r_[0.0, occupancy[:-1] * ((s - k[:-1]) / s)]
+    return law
+
+
+def distinct_symbols(probs: np.ndarray, alpha: float, beta: int, s: int, n: int) -> np.ndarray:
+    """Number of symbols hit at least once in each row of final normalized distributions ``probs``.
+
+    A symbol's hits are its weight ``probs[r] * (alpha + n)`` less alpha/s,
+    in units of 1/beta (:func:`hit_counts`); a symbol counts as hit at half a
+    hit or more, so the count reads a row right even when its weights are
+    off by far less than one hit.
+    """
+    hits = (np.asarray(probs) * (alpha + n) - alpha / s) * beta
+    return (hits >= 0.5).sum(axis=1)
 
 
 def chi2_gof_pvalue(observed: dict, expected: dict[object, Fraction], n_samples: int, min_expected: float = 5.0) -> float:

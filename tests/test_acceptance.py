@@ -51,7 +51,7 @@ from filex.sweep import (
     ExperimentSpec,
     SweepSpec,
     canonical_experiments,
-    correlation_series,
+    correlate,
     log_sweep,
     run_experiment,
 )
@@ -158,7 +158,7 @@ def test_criterion_1_reduced_preset(name, canonical_records, exact_entropy):
     # stride-4 records are exactly the reduced preset's output
     spec, records = canonical_records[name]
     reduced = records[:: 4 * spec.replicates]
-    result = kendall_tau(correlation_series(spec, reduced))
+    result = correlate(spec.varied, reduced)
     target = TAU_TARGETS[name]
     ends = exact_grid_ends(name, exact_entropy)
     sign_ok = math.copysign(1, result.tau) == math.copysign(1, target)

@@ -12,7 +12,7 @@ from filex.report import (
     render_correlation_table,
     render_svg_scatter,
 )
-from filex.sweep import correlation_series, correlation_table, run_experiment
+from filex.sweep import correlate, run_experiment
 
 
 def write(path, text):
@@ -262,7 +262,7 @@ def test_alpha_sweep_api_and_cli_agree(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(csv)]) == 0
     spec = experiment_config_from_mapping(load_config(cfg))
     records = run_experiment(spec)
-    [(name, result)] = correlation_table([(spec, records)])
+    name, result = spec.name, correlate(spec.varied, records)
     assert result.tau < 0  # entropy rises with alpha, so it falls with 1/alpha
     assert correlation_table_from_rows(read_records_csv(csv)) == [(name, "1/alpha", result)]
     capsys.readouterr()
@@ -270,7 +270,7 @@ def test_alpha_sweep_api_and_cli_agree(tmp_path, capsys):
     assert capsys.readouterr().out == render_correlation_table([(name, "1/alpha", result)])
     assert main(["plot", str(csv), "--out", str(svg)]) == 0
     plot = plot_spec_from_rows(read_records_csv(csv))
-    assert [x for x, _ in plot.points] == correlation_series(spec, records).x.tolist()
+    assert [x for x, _ in plot.points] == [1.0 / r.param_value for r in records]
     assert svg.read_text() == render_svg_scatter(plot)
 
 

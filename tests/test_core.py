@@ -45,6 +45,8 @@ from filex.stats import shannon_entropy_bits
 from oracles import (
     binned_chi2_pvalue,
     chi2_gof_pvalue,
+    distinct_symbol_law,
+    distinct_symbols,
     enumerate_outcome_distribution,
     expected_entropy_bits,
     hit_count_law,
@@ -424,6 +426,27 @@ HIT_LAW_POINTS = {
     "reference": ("reference", _reference_rows, (0.3, 10, 64, 300), 2000, 3000),
 }
 HIT_LAW_P_GATE = 0.01 / len(HIT_LAW_POINTS)
+# The number of symbols hit, over the same runs, has its own 1% budget over its
+# three chi-square tests.
+DISTINCT_LAW_P_GATE = 0.01 / len(HIT_LAW_POINTS)
+
+
+@functools.cache
+def sweep_size_probs(mode, kernel, point, runs, first_seed) -> np.ndarray:
+    """Final distributions of ``runs`` runs at ``point``, one row each, drawn as a sweep draws them.
+
+    The runs are the rows of calls of the kernel's row cap, row i on the
+    stream of seed ``first_seed + i``. Both law tests at a point read the
+    same runs, drawn once.
+    """
+    params = ProcessParams(*point)
+    planned = _kernel(params, mode)
+    assert planned.run is kernel
+    seeds = range(first_seed, first_seed + runs)
+    return np.concatenate([
+        _run_rows(kernel, [params] * len(chunk), [make_stream(seed) for seed in chunk])
+        for chunk in (seeds[i:i + planned.max_rows] for i in range(0, runs, planned.max_rows))
+    ])
 
 
 @pytest.mark.parametrize("mode,kernel,point,runs,first_seed", HIT_LAW_POINTS.values(), ids=HIT_LAW_POINTS.keys())
@@ -433,16 +456,21 @@ def test_hit_count_law_at_sweep_size(mode, kernel, point, runs, first_seed):
     As in a sweep, the runs are the rows of calls of the kernel's row cap, each
     row on its own stream.
     """
-    params = ProcessParams(*point)
-    planned = _kernel(params, mode)
-    assert planned.run is kernel
-    seeds = range(first_seed, first_seed + runs)
-    probs = np.concatenate([
-        _run_rows(kernel, [params] * len(chunk), [make_stream(seed) for seed in chunk])
-        for chunk in (seeds[i:i + planned.max_rows] for i in range(0, runs, planned.max_rows))
-    ])
+    probs = sweep_size_probs(mode, kernel, point, runs, first_seed)
     p_value = binned_chi2_pvalue(hit_counts(probs[:, 0], *point), hit_count_law(*point), min_expected=20)
     assert p_value > HIT_LAW_P_GATE, f"chi-square rejects {kernel.__name__} at {point}: p={p_value:.2e}"
+
+
+@pytest.mark.parametrize("mode,kernel,point,runs,first_seed", HIT_LAW_POINTS.values(), ids=HIT_LAW_POINTS.keys())
+def test_distinct_symbol_law_at_sweep_size(mode, kernel, point, runs, first_seed):
+    """The number of symbols hit follows its exact law, neighbouring counts pooled to at least 20 expected.
+
+    Unlike one symbol's hit count, this law moves with alpha at every point:
+    alpha sets how many draws are fresh, and only fresh draws hit new symbols.
+    """
+    probs = sweep_size_probs(mode, kernel, point, runs, first_seed)
+    p_value = binned_chi2_pvalue(distinct_symbols(probs, *point), distinct_symbol_law(*point), min_expected=20)
+    assert p_value > DISTINCT_LAW_P_GATE, f"chi-square rejects {kernel.__name__} at {point}: p={p_value:.2e}"
 
 
 class RecordingStream:

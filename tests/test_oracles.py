@@ -4,6 +4,7 @@ The lumped-chain oracle is what the acceptance suite centres its canonical
 curve-shape windows on, so it is pinned here to the independent rational
 enumeration wherever that is feasible, and to its structural properties
 (n = 0 is uniform, s = 1 is degenerate, E[H] never rises with n) elsewhere.
+The law of the number of symbols hit is pinned to the same enumeration.
 """
 
 import math
@@ -12,7 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import enumerate_outcome_distribution, expected_entropy_bits, expected_entropy_curve, hit_count_law
+from oracles import (
+    distinct_symbol_law,
+    enumerate_outcome_distribution,
+    expected_entropy_bits,
+    expected_entropy_curve,
+    hit_count_law,
+)
 
 
 def enumerated_mean_entropy(alpha: Fraction, beta: int, s: int, n: int) -> float:
@@ -78,3 +85,14 @@ def test_hit_count_law_matches_enumeration(s, beta, n):
     for counts, prob in enumerate_outcome_distribution(Fraction(2), beta, s, n).items():
         marginal[counts[0]] += float(prob)
     assert np.max(np.abs(hit_count_law(2.0, beta, s, n) - marginal)) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_distinct_symbol_law_matches_enumeration(s, beta, n):
+    # the law of the number of symbols hit is that of the enumerated outcomes' non-zero counts
+    law = np.zeros(s + 1)
+    for counts, prob in enumerate_outcome_distribution(Fraction(2), beta, s, n).items():
+        law[sum(c > 0 for c in counts)] += float(prob)
+    assert np.max(np.abs(distinct_symbol_law(2.0, beta, s, n) - law)) <= 1e-12

@@ -1,15 +1,19 @@
+import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from filex.errors import ConfigError, CsvFormatError, InvalidInputError
+from filex.core import ProcessParams
+from filex.errors import ConfigError, CsvFormatError, InvalidInputError, InvalidParameterError
 from filex.report import (
     _CANONICAL_SCHEMA,
     _CUSTOM_SCHEMA,
     _RUN_SCHEMA,
     CSV_HEADER,
     PlotSpec,
+    RunConfig,
     correlation_table_from_rows,
     experiment_config_from_mapping,
     parse_config_text,
@@ -66,6 +70,21 @@ class TestRunConfig:
     def test_invalid_parameter_reported_as_config_error(self):
         with pytest.raises(ConfigError, match="alpha"):
             run_config_from_mapping({"alpha": "-1", "beta": "1", "s": "4", "n": "0", "seed": "1"})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -5}, "seed must be >= 0, got -5"),
+            ({"seed": 2**64}, f"seed must be < {2**64}, got {2**64}"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"seed": 1, "mode": "Fast"}, "mode must be 'reference' or 'fast', got 'Fast'"),
+        ],
+        ids=["negative-seed", "seed-2**64", "bool-seed", "float-seed", "unknown-mode"],
+    )
+    def test_direct_construction_validates(self, kwargs, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            RunConfig(ProcessParams(1.0, 1, 2, 3), **kwargs)
 
 
 class TestExperimentConfig:
@@ -273,6 +292,15 @@ class TestSvg:
     def test_log_axis_requires_positive(self):
         with pytest.raises(InvalidInputError):
             PlotSpec(points=[(-1.0, 1.0)], x_label="x")
+
+    @pytest.mark.parametrize("y_max", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_y_max_must_be_positive_and_finite(self, y_max):
+        with pytest.raises(InvalidInputError, match="^y_max must be positive and finite"):
+            PlotSpec(points=[(1.0, 1.0)], x_label="x", y_max=y_max)
+
+    def test_nan_y_rejected(self):
+        with pytest.raises(InvalidInputError, match="^plot y values must not be NaN$"):
+            PlotSpec(points=[(1.0, 1.0), (2.0, math.nan)], x_label="x")
 
     def test_max_entropy_markers_on_top_gridline(self):
         points = [(1.0, 6.0), (10.0, 6.0)]

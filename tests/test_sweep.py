@@ -28,8 +28,7 @@ from filex.sweep import (
     RunRecord,
     SweepSpec,
     canonical_experiments,
-    correlation_series,
-    correlation_table,
+    correlate,
     derive_run_seed,
     log_sweep,
     run_experiment,
@@ -629,33 +628,26 @@ class TestSchedule:
 
 class TestCorrelationTable:
     def test_monotone_series_give_unit_tau(self):
-        spec = tiny_spec()
         up = [RunRecord("tiny", float(v), 0, 0, float(v) / 100) for v in range(5, 50, 5)]
         down = [RunRecord("tiny", float(v), 0, 0, 1.0 - v / 100) for v in range(5, 50, 5)]
-        table = correlation_table([(spec, up)])
-        assert table[0][0] == "tiny"
-        assert table[0][1].tau == 1.0
-        assert correlation_table([(spec, down)])[0][1].tau == -1.0
+        assert correlate(tiny_spec().varied, up).tau == 1.0
+        assert correlate(tiny_spec().varied, down).tau == -1.0
 
     def test_inverse_axis_negates_tau_exactly(self):
         rng = np.random.default_rng(4)
         alphas = np.exp(rng.normal(size=40))
         entropies = rng.random(40) * 6
-        spec = ExperimentSpec(name="a", varied="alpha", sweep=SweepSpec(1e-4, 1e-1, 40),
-                              beta=2, s=4, n=5, master_seed=0)
         records = [RunRecord("a", float(a), 0, 0, float(h)) for a, h in zip(alphas, entropies)]
-        tau_inverse = correlation_table([(spec, records)])[0][1].tau
+        tau_inverse = correlate("alpha", records).tau
         assert tau_inverse == -kendall_tau(PairedSeries(alphas, entropies)).tau
 
     def test_constant_entropy_undefined(self):
-        spec = tiny_spec()
         records = [RunRecord("tiny", float(v), 0, 0, 1.0) for v in range(5, 50, 5)]
         with pytest.raises(UndefinedCorrelationError):
-            correlation_table([(spec, records)])
+            correlate(tiny_spec().varied, records)
 
-    def test_correlation_series_inverts_x(self):
-        spec = ExperimentSpec(name="a", varied="alpha", sweep=SweepSpec(0.1, 10.0, 3),
-                              beta=2, s=4, n=5, master_seed=0)
+    def test_correlate_inverts_alpha_axis(self):
+        # entropy falls as alpha rises from 2 to 4, so it rises with 1/alpha
         records = [RunRecord("a", 4.0, 0, 0, 1.0), RunRecord("a", 2.0, 0, 0, 2.0)]
-        series = correlation_series(spec, records)
-        assert series.x.tolist() == [0.25, 0.5]
+        assert correlate("alpha", records).tau == 1.0
+        assert correlate("beta", records).tau == -1.0
