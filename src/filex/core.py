@@ -22,11 +22,14 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError, InvalidParameterError
 
-# Deterministic uniform-variate stream. PCG64 seeded through SeedSequence:
-# the same 64-bit seed always reproduces the same variate sequence.
+# Deterministic uniform-variate stream: PCG64 seeded as SeedSequence(seed)
+# seeds it, so the same 64-bit seed always reproduces the same variate
+# sequence, bit for bit that of np.random.default_rng(seed). The streams of a
+# kernel call are built together (:func:`_make_streams`).
 RandomStream = np.random.Generator
 
 _MAX_SEED = 2**64
@@ -55,6 +58,13 @@ def _check_positive(name: str, value) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def _check_flag(name: str, value) -> bool:
+    """``value`` as a bool; numpy bools are accepted, truthy or falsy stand-ins rejected."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
 
 
 def _check_mode(mode) -> str:
@@ -86,9 +96,91 @@ def _check_sums(probs: np.ndarray) -> None:
             raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {total!r}")
 
 
+def _hash_chain(init: int, multiplier: int, hashes: int) -> np.ndarray:
+    """The constants ``init * multiplier**k mod 2**32``, k = 0..hashes, of one chain of SeedSequence hashes.
+
+    Hash k of a chain XORs its word with constant k and multiplies it by
+    constant k + 1.
+    """
+    chain = [init]
+    for _ in range(hashes):
+        chain.append(chain[-1] * multiplier & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _mix_constants(chain: np.ndarray) -> np.ndarray:
+    """The 12 mixing-hash constants in ``chain`` as a (4, 4, 1) table: [i, d] mixes word i into word d.
+
+    numpy runs them source by source, destinations in order; the unused [i, i] are 0.
+    """
+    table = np.zeros((4, 4), dtype=np.uint32)
+    table[~np.eye(4, dtype=bool)] = chain
+    return table[:, :, None]
+
+
+# numpy's SeedSequence hash of a 4-word pool, which NEP 19 keeps stable: 4
+# hashes fill the pool, 12 mix each word into the other three (chain A), and
+# 8 hash the pool, cycled, into the 8 uint32 words of 4 uint64 (chain B).
+_CHAIN_A = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
+_CHAIN_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_XOR = _mix_constants(_CHAIN_A[4:16])
+_MIX_MULTIPLIER = _mix_constants(_CHAIN_A[5:17])
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, xor, multiplier) -> np.ndarray:
+    """SeedSequence's hash of uint32 ``words``, elementwise with broadcast constants."""
+    h = words ^ xor
+    h *= multiplier
+    h ^= h >> 16
+    return h
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, as the rows of one (R, 4) array.
+
+    All seeds go through each step of the hash at once, in uint32
+    arithmetic. A seed is its (low, high) 32-bit words: numpy hashes a seed
+    below 2**32 as the one word [low] and fills the unused pool words with
+    the hash of 0, so (low, 0) gives the same pool.
+    """
+    seeds = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & 0xFFFFFFFF
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, _CHAIN_A[:4, None], _CHAIN_A[1:5, None])
+    for i in range(4):  # every other word d of the pool takes mix(d, hash of word i)
+        mixed = pool * _MIX_L - _hashmix(pool[i], _MIX_XOR[i], _MIX_MULTIPLIER[i]) * _MIX_R
+        mixed ^= mixed >> 16
+        mixed[i] = pool[i]
+        pool = mixed
+    state = _hashmix(np.concatenate((pool, pool)), _CHAIN_B[:8, None], _CHAIN_B[1:, None])
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """The seed words :func:`_seed_words` computed for one stream, as the seed sequence PCG64 asks for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words  # PCG64 asks for 4 uint64 words
+
+
+def _make_streams(seeds: Sequence[int]) -> list[RandomStream]:
+    """One stream per 64-bit seed, each bit-identical to ``np.random.default_rng(seed)``.
+
+    The seeds are hashed together (:func:`_seed_words`), and numpy's own
+    PCG64 seeding takes each row's words.
+    """
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in _seed_words(seeds)]
+
+
 def make_stream(seed: int) -> RandomStream:
     """Create the package's deterministic random stream from a 64-bit seed."""
-    return np.random.default_rng(_check_count("seed", seed, 0, _MAX_SEED))
+    return _make_streams([_check_count("seed", seed, 0, _MAX_SEED)])[0]
 
 
 @dataclass(frozen=True)
@@ -345,7 +437,10 @@ _BLOCK_DRAW_US = 0.047
 # row-iteration, and the rest, the part per call-iteration. Medians of 9
 # rounds, two runs, on 2 CPUs (Python 3.11, numpy 2.4):
 # - fixed: 42 us per call and 21 us per row (stream, checks, entropy), from
-#   calls of 1 and 64 rows at n = 0;
+#   calls of 1 and 64 rows at n = 0. This predates bulk streams
+#   (_make_streams), which cut the row's stream from about 20 us to about 4
+#   and add a fixed hash of about 60 us per call; the prices only schedule
+#   work, so they stay until they are re-fitted together;
 # - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
 #   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
 #   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 from xml.sax.saxutils import escape
 
-from .core import _MAX_SEED, ProcessParams, _check_count, _check_mode, _check_positive
+from .core import _MAX_SEED, ProcessParams, _check_count, _check_flag, _check_mode, _check_positive
 from .errors import ConfigError, CsvFormatError, InvalidInputError, UndefinedCorrelationError
 from .stats import CorrelationResult
 from .sweep import VARIED_NAMES, ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, correlate, sweep_axis
@@ -119,6 +119,7 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0, _MAX_SEED))
         _check_mode(self.mode)
+        object.__setattr__(self, "show_distribution", _check_flag("show_distribution", self.show_distribution))
 
 
 _RUN_SCHEMA = _schema(ProcessParams, RunConfig)

@@ -16,16 +16,19 @@ from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import (
     _MAX_SEED,
     Kernel,
     ProcessParams,
     _check_count,
+    _check_flag,
     _check_mode,
     _check_positive,
     _kernel,
+    _make_streams,
     _run_rows,
-    make_stream,
 )
 from .errors import InvalidParameterError
 from .stats import CorrelationResult, PairedSeries, _entropy_bits_rows, kendall_tau
@@ -52,6 +55,7 @@ class SweepSpec:
         object.__setattr__(self, "steps", _check_count("steps", self.steps, 2))
         object.__setattr__(self, "low", _check_positive("low", self.low))
         object.__setattr__(self, "high", _check_positive("high", self.high))
+        object.__setattr__(self, "integral", _check_flag("integral", self.integral))
         _check_positive("high/low", self.high / self.low)  # else the inner points overflow or vanish
         if self.integral and math.floor(self.low) < 1:
             raise InvalidParameterError(f"integral sweep requires floor(low) >= 1, got low={self.low}")
@@ -123,6 +127,7 @@ class ExperimentSpec:
             raise InvalidParameterError(f"varied must be one of {VARIED_NAMES}, got {self.varied!r}")
         if getattr(self, self.varied) is not None:
             raise InvalidParameterError(f"varied parameter {self.varied!r} must not also be given a fixed value")
+        object.__setattr__(self, "alpha_coupled_to_s", _check_flag("alpha_coupled_to_s", self.alpha_coupled_to_s))
         if self.alpha_coupled_to_s:
             if self.varied != "s":
                 raise InvalidParameterError("alpha_coupled_to_s is only valid when varying s")
@@ -195,24 +200,37 @@ def canonical_experiments(master_seed: int) -> list[ExperimentSpec]:
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(value: int) -> int:
-    """One round of the SplitMix64 integer mixer."""
-    z = (value + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(values: np.ndarray) -> np.ndarray:
+    """One round of the SplitMix64 integer mixer on every element of a uint64 array.
+
+    Array arithmetic wraps mod 2**64 silently; keep the operands arrays, as
+    numpy scalars warn on overflow.
+    """
+    z = values + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _run_seeds(master_seed: int, points: Sequence[int], replicates: Sequence[int]) -> np.ndarray:
+    """:func:`derive_run_seed` of every (point, replicate) pair, as a (points, replicates) uint64 array.
+
+    The inputs are integers in [0, 2**64).
+    """
+    h = _splitmix64(np.array([master_seed], dtype=np.uint64))
+    h = _splitmix64(h ^ np.array(points, dtype=np.uint64)[:, None])
+    return _splitmix64(h ^ np.array(replicates, dtype=np.uint64))
 
 
 def derive_run_seed(master_seed: int, point_index: int, replicate: int) -> int:
     """Deterministic 64-bit seed for one (sweep point, replicate) task.
 
-    Chains SplitMix64 over the three inputs, so the seed depends on nothing
-    but them; execution order and worker count cannot change it.
+    Chains SplitMix64 over the three inputs, each taken mod 2**64, so the
+    seed depends on nothing but them; execution order and worker count
+    cannot change it.
     """
-    h = _splitmix64(int(master_seed) & _MASK64)
-    h = _splitmix64(h ^ (int(point_index) & _MASK64))
-    h = _splitmix64(h ^ (int(replicate) & _MASK64))
-    return h
+    master_seed, point_index, replicate = (int(v) & _MASK64 for v in (master_seed, point_index, replicate))
+    return int(_run_seeds(master_seed, [point_index], [replicate])[0, 0])
 
 
 def _calls(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int = 1) -> list[tuple[Kernel, list[int]]]:
@@ -247,13 +265,14 @@ def _run_calls(calls: list[tuple[Callable, list[ProcessParams], list[int]]]) -> 
 
     Each row draws only from the stream of its own seed, so every entropy
     equals that of its run alone, ``shannon_entropy_bits(run(params,
-    make_stream(seed), mode))``; normalization, checks and entropy are done
-    once per call.
+    make_stream(seed), mode))``. The streams (:func:`core._make_streams`),
+    normalization, checks and entropy are made once per call, for all its
+    rows.
     """
     return [
         entropy
         for run, rows, seeds in calls
-        for entropy in _entropy_bits_rows(_run_rows(run, rows, [make_stream(seed) for seed in seeds])).tolist()
+        for entropy in _entropy_bits_rows(_run_rows(run, rows, _make_streams(seeds))).tolist()
     ]
 
 
@@ -360,14 +379,15 @@ def run_experiment(
     stride = _check_count("stride", stride, 1)
     workers = _check_count("workers", workers, 1)
     values = log_sweep(spec.sweep)
+    points = range(0, len(values), stride)
+    seeds = _run_seeds(spec.master_seed, points, range(spec.replicates)).tolist()
 
     tasks = []
     keys = []
-    for index in range(0, len(values), stride):
+    for index, point_seeds in zip(points, seeds):
         value = values[index]
         params = spec.params_at(value)
-        for replicate in range(spec.replicates):
-            seed = derive_run_seed(spec.master_seed, index, replicate)
+        for replicate, seed in enumerate(point_seeds):
             keys.append((value, replicate, seed))
             tasks.append((params, seed))
 

@@ -29,6 +29,7 @@ from filex.core import (
     _inverse_cdf,
     _inverse_cdf_counts,
     _kernel,
+    _make_streams,
     _multinomial_rows,
     _reference_rows,
     _run_rows,
@@ -102,6 +103,37 @@ class TestProcessParams:
 def test_make_stream_rejects_seed(seed):
     with pytest.raises(InvalidParameterError, match="seed"):
         make_stream(seed)
+
+
+def assert_default_rng_streams(streams, seeds):
+    """Each stream has the state of ``np.random.default_rng(seed)``, the reference, and its first 8 doubles."""
+    assert len(streams) == len(seeds)
+    for stream, seed in zip(streams, seeds):
+        reference = np.random.default_rng(seed)
+        assert stream.bit_generator.state == reference.bit_generator.state, seed
+        assert stream.random(8).tolist() == reference.random(8).tolist(), seed
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestMakeStreams:
+    def test_edge_seeds(self):
+        assert_default_rng_streams(_make_streams(EDGE_SEEDS), EDGE_SEEDS)
+        assert_default_rng_streams([make_stream(seed) for seed in EDGE_SEEDS], EDGE_SEEDS)
+
+    @pytest.mark.parametrize("batch", [1, 2, 10_000])
+    def test_random_seeds_in_batches(self, batch):
+        # every bit length from 64 down to 1, so seeds below and above 2**32 both occur
+        rng = np.random.default_rng(17)
+        seeds = (rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False)
+                 >> rng.integers(0, 64, 10_000).astype(np.uint64)).tolist()
+        streams = [stream for i in range(0, len(seeds), batch) for stream in _make_streams(seeds[i : i + batch])]
+        assert_default_rng_streams(streams, seeds)
+
+    def test_batch_mixing_seeds_below_and_above_2_32(self):
+        seeds = [3, 2**40 + 7, 2**32 - 1, 2**32, 0, 2**64 - 1, 12_345, 2**32 + 1, 2**31]
+        assert_default_rng_streams(_make_streams(seeds), seeds)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), True, "2"])
@@ -444,7 +476,7 @@ def sweep_size_probs(mode, kernel, point, runs, first_seed) -> np.ndarray:
     assert planned.run is kernel
     seeds = range(first_seed, first_seed + runs)
     return np.concatenate([
-        _run_rows(kernel, [params] * len(chunk), [make_stream(seed) for seed in chunk])
+        _run_rows(kernel, [params] * len(chunk), _make_streams(chunk))
         for chunk in (seeds[i:i + planned.max_rows] for i in range(0, runs, planned.max_rows))
     ])
 

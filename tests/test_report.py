@@ -87,6 +87,33 @@ class TestRunConfig:
             RunConfig(ProcessParams(1.0, 1, 2, 3), **kwargs)
 
 
+_FLAG_FIELDS = pytest.mark.parametrize(
+    "name, build",
+    [
+        ("integral", lambda v: SweepSpec(1, 64, 4, integral=v)),
+        ("alpha_coupled_to_s", lambda v: ExperimentSpec(
+            name="x", varied="s", sweep=SweepSpec(8, 64, 4, integral=True), beta=10, n=10,
+            alpha=None if v else 1.0, alpha_coupled_to_s=v)),
+        ("show_distribution", lambda v: RunConfig(ProcessParams(1.0, 1, 2, 3), seed=1, show_distribution=v)),
+    ],
+    ids=["integral", "alpha_coupled_to_s", "show_distribution"],
+)
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None], ids=["no", "false", "0", "1", "None"])
+@_FLAG_FIELDS
+def test_boolean_fields_take_only_bools(name, build, value):
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be True or False, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@_FLAG_FIELDS
+def test_boolean_fields_take_numpy_bools_as_bools(name, build, value):
+    field = getattr(build(np.bool_(value)), name)
+    assert type(field) is bool and field is value
+
+
 class TestExperimentConfig:
     def test_canonical_form(self):
         spec = experiment_config_from_mapping({"experiment": "beta", "master_seed": "5"})

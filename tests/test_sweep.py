@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -243,7 +244,44 @@ class TestCanonicalExperiments:
         assert all(s.replicates == 1 for s in canonical_experiments(1))
 
 
+MASK64 = 2**64 - 1
+
+
+def splitmix64_reference(value: int) -> int:
+    """One SplitMix64 round in Python integers: the reference for the array form."""
+    z = (value + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def run_seed_reference(master_seed: int, point_index: int, replicate: int) -> int:
+    h = splitmix64_reference(master_seed & MASK64)
+    h = splitmix64_reference(h ^ (point_index & MASK64))
+    return splitmix64_reference(h ^ (replicate & MASK64))
+
+
 class TestSeedDerivation:
+    def test_arrays_match_scalar_chain(self):
+        masters = [0, 1, 99, 2**32, 2**63, MASK64]
+        points = [0, 1, 7, 399, 2**32 + 5, 2**63, MASK64]
+        replicates = [0, 1, 2, 10**6, 2**40, MASK64]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning from a numpy scalar fails the test
+            for master in masters:
+                expected = [[run_seed_reference(master, p, r) for r in replicates] for p in points]
+                assert sweep._run_seeds(master, points, replicates).tolist() == expected
+                assert [[derive_run_seed(master, p, r) for r in replicates] for p in points] == expected
+            assert derive_run_seed(-1, -2, 2**64 + 3) == run_seed_reference(-1, -2, 2**64 + 3)
+
+    def test_records_carry_derived_seeds(self):
+        spec = tiny_spec(replicates=3, master_seed=MASK64)
+        records = run_experiment(spec, stride=3)
+        assert [r.seed for r in records] == [
+            run_seed_reference(MASK64, p, r) for p in range(0, 8, 3) for r in range(3)
+        ]
+        assert all(type(r.seed) is int for r in records)
+
     def test_deterministic(self):
         assert derive_run_seed(1, 2, 3) == derive_run_seed(1, 2, 3)
 
