@@ -169,12 +169,21 @@ class _SeedWords(ISeedSequence):
         return self.words  # PCG64 asks for 4 uint64 words
 
 
+# Fewest seeds hashed together: below it numpy's own constructor, about 12
+# to 17 us a stream, beats the bulk hash, about 52 to 60 us a call plus about
+# 4 a stream (best of 5 rounds of timeit, 2 CPUs, Python 3.11, numpy 2.4).
+_BULK_SEEDS = 4
+
+
 def _make_streams(seeds: Sequence[int]) -> list[RandomStream]:
     """One stream per 64-bit seed, each bit-identical to ``np.random.default_rng(seed)``.
 
-    The seeds are hashed together (:func:`_seed_words`), and numpy's own
-    PCG64 seeding takes each row's words.
+    From :data:`_BULK_SEEDS` seeds on, the seeds are hashed together
+    (:func:`_seed_words`), and numpy's own PCG64 seeding takes each row's
+    words; fewer seeds are each built by ``default_rng``.
     """
+    if len(seeds) < _BULK_SEEDS:
+        return [np.random.default_rng(seed) for seed in seeds]
     return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in _seed_words(seeds)]
 
 
@@ -436,11 +445,12 @@ _BLOCK_DRAW_US = 0.047
 # gave the cost per iteration at each R; its growth over R, the part per
 # row-iteration, and the rest, the part per call-iteration. Medians of 9
 # rounds, two runs, on 2 CPUs (Python 3.11, numpy 2.4):
-# - fixed: 42 us per call and 21 us per row (stream, checks, entropy), from
-#   calls of 1 and 64 rows at n = 0. This predates bulk streams
-#   (_make_streams), which cut the row's stream from about 20 us to about 4
-#   and add a fixed hash of about 60 us per call; the prices only schedule
-#   work, so they stay until they are re-fitted together;
+# - fixed: 104 us per call and 4 us per row (streams, checks, entropy), from
+#   calls of 4 and 64 rows at n = 0, fast and reference, (beta, s) = (3, 3)
+#   and (5, 64): 102 to 111 us per call and 2.9 to 4.4 per row. Most of the
+#   call's part is the seed hash of _make_streams, which builds a call's
+#   streams together; a call of fewer than _BULK_SEEDS rows skips it (a
+#   1-row call took 47 to 51 us), which the prices leave out;
 # - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
 #   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
 #   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw
@@ -455,8 +465,8 @@ _BLOCK_DRAW_US = 0.047
 # - block copy kernel: it runs its rows one after another, so it has no part
 #   per call-iteration; a row took 0.7 to 0.85 times its pick price above,
 #   which serves as its price.
-_CALL_US = 42.0
-_ROW_US = 21.0
+_CALL_US = 104.0
+_ROW_US = 4.0
 _CALL_ITERATION_US = 6.5
 _REFERENCE_ROW_DRAW_US = 0.15
 _REFERENCE_ROW_SYMBOL_US = 0.01

@@ -10,10 +10,14 @@ not depend on worker count or scheduling.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from itertools import chain
+from multiprocessing.connection import wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,27 +305,113 @@ def _chunk_plan(costs: Sequence[float]) -> list[list[int]]:
     return chunks
 
 
-# Modelled start-up plus shutdown of a process pool, per worker. Interleaved
+# Modelled start-up plus shutdown of a process pool, per worker, and the
+# dispatch of one sweep to a pool that is already running. Interleaved
 # medians on 2 CPUs (Python 3.11, numpy 2.4, fork), scaled to 11.6 us per
 # multinomial iteration at s = 64: a pool that starts its workers, runs one
-# empty chunk on each and shuts down took 10.1 ms with 1 worker, 14.6 ms with
-# 2 and 25.0 ms with 4, so 7.3 ms and 6.3 ms per worker at 2 and 4.
+# empty chunk on each and shuts down took 10.7 ms with 1 worker, 14.5 ms with
+# 2 and 26.0 ms with 4, so 7.3 ms and 6.5 ms per worker at 2 and 4; one empty
+# chunk per worker on a running pool took 0.40 ms with 1 worker and 0.64 ms
+# with 2.
 _POOL_WORKER_US = 7_500.0
+_POOL_SWEEP_US = 700.0
 
 
-def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int, bar: float) -> int:
+def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int, bar: float, warm: int) -> int:
     """Workers to run ``plan`` on, or 0 to run the sweep in this process.
 
     ``costs`` price the calls split for ``workers``; ``bar`` prices the
-    unsplit calls, which run when no pool starts. A pool of k = min(workers,
-    chunks) processes pays for itself when its modelled start-up plus its
-    makespan bound, the larger of an even share of the split total and the
-    costliest chunk, is below ``bar``. A split adds calls, never removes
+    unsplit calls, which run when no pool starts; ``warm`` counts the workers
+    of this process's running pool (:func:`_pool`). A pool of k =
+    min(workers, chunks) processes pays for itself when its modelled cost
+    plus its makespan bound, the larger of an even share of the split total
+    and the costliest chunk, is below ``bar``. Its cost is one sweep's
+    dispatch, plus the start-up of all k workers unless ``warm`` is at least
+    k, since a smaller pool is replaced. A split adds calls, never removes
     them, so one chunk (k = 1) never pools.
     """
     k = min(workers, len(plan))
     largest = max(sum(costs[i] for i in chunk) for chunk in plan)
-    return k if _POOL_WORKER_US * k + max(sum(costs) / k, largest) < bar else 0
+    start_up = _POOL_WORKER_US * k if warm < k else 0.0
+    return k if _POOL_SWEEP_US + start_up + max(sum(costs) / k, largest) < bar else 0
+
+
+# This process's pool, kept running for later sweeps, its worker count, and
+# the lock a sweep holds from taking the pool until its chunks are back, so a
+# sweep in another thread cannot replace the pool under it.
+_warm_pool: ProcessPoolExecutor | None = None
+_warm_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _pool(size: int) -> ProcessPoolExecutor:
+    """This process's pool, first replaced by one of ``size`` workers if it has fewer.
+
+    The old pool is shut down before the new one starts, so no worker is
+    forked while the old pool's threads run.
+    """
+    global _warm_pool, _warm_workers
+    if _warm_workers < size:
+        _close_pool()
+        _warm_pool = ProcessPoolExecutor(size, initializer=_exit_with_parent)
+        _warm_workers = size
+    return _warm_pool
+
+
+def _close_pool() -> None:
+    """Shut down this process's pool, if it has one."""
+    global _warm_pool, _warm_workers
+    if _warm_pool is not None:
+        _warm_pool.shutdown()
+    _warm_pool, _warm_workers = None, 0
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's pool without a shutdown, and take a lock of its own."""
+    global _warm_pool, _warm_workers, _pool_lock
+    _warm_pool, _warm_workers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end this worker once the process that started the pool is gone.
+
+    A thread watches for either sign. A worker forked or spawned by that
+    process is re-parented; a forked worker's sentinel may stay open, as
+    workers forked after it hold copies. A worker started by a forkserver
+    keeps its parent, since the forkserver lives as long as its workers,
+    but sees its parent sentinel, a pipe that process holds open, close.
+    SIGKILL skips the exit hook that shuts the pool down, so without this
+    the workers would outlive the pool's process.
+    """
+    parent, sentinel = os.getppid(), multiprocessing.parent_process().sentinel
+
+    def watch():
+        while os.getppid() == parent and not wait([sentinel], timeout=0.5):
+            pass
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pool_map(size: int, work: list) -> list:
+    """:func:`_run_calls` of every chunk of ``work`` on this process's pool of at least ``size`` workers.
+
+    Pooled sweeps in several threads take turns. A pool that breaks, because
+    a worker died, is replaced and the chunks run once more on the new one;
+    a second break is raised.
+    """
+    with _pool_lock:
+        for attempt in range(2):
+            try:
+                return list(_pool(size).map(_run_calls, work))
+            except BrokenProcessPool:
+                _close_pool()
+                if attempt:
+                    raise
 
 
 def _usable_cpus() -> int:
@@ -348,15 +438,12 @@ def _run_tasks(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int) 
         split = _calls(tasks, mode, workers)
         costs = [kernel.price(len(call)) for kernel, call in split]
         plan = _chunk_plan(costs)
-        size = _pool_size(costs, plan, workers, sum(kernel.price(len(call)) for kernel, call in calls))
+        bar = sum(kernel.price(len(call)) for kernel, call in calls)
+        size = _pool_size(costs, plan, workers, bar, _warm_workers)
         chunks = [[split[c] for c in chunk] for chunk in plan] if size else chunks
     work = [[(kernel.run, [tasks[i][0] for i in call], [tasks[i][1] for i in call]) for kernel, call in chunk]
             for chunk in chunks]
-    if size:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_run_calls, work))
-    else:
-        results = map(_run_calls, work)
+    results = _pool_map(size, work) if size else map(_run_calls, work)
     order = [i for chunk in chunks for _, call in chunk for i in call]  # each index once: no entropy is compared
     return [entropy for _, entropy in sorted(zip(order, chain.from_iterable(results)))]
 
@@ -372,8 +459,10 @@ def run_experiment(
     ``stride`` keeps every stride-th sweep point (the reduced preset uses 4);
     point indices from the full sweep feed the seed derivation, so a strided
     record list is exactly a subset of the full one. With ``workers`` > 1 the
-    runs are scheduled by their modelled cost (:func:`_run_tasks`). Output
-    order is (point, replicate) regardless of ``workers``.
+    runs are scheduled by their modelled cost (:func:`_run_tasks`), and a
+    pool started for them stays running for later sweeps in this process;
+    pooled sweeps from several threads take turns on it. Output order is
+    (point, replicate) regardless of ``workers``.
     """
     mode = _check_mode(mode)
     stride = _check_count("stride", stride, 1)

@@ -1,5 +1,4 @@
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -37,18 +36,26 @@ def canonical_records():
 
 @pytest.fixture
 def real_pool_starts(monkeypatch):
-    """Keep the real process pool; list the worker count of each pool a sweep starts."""
+    """Keep the real process pool, with none running at first; list the worker count of each pool a sweep starts.
+
+    The pool left running is shut down after the test.
+    """
     from filex import sweep
 
     starts = []
+    real = sweep._pool
 
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            starts.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def spy(size):
+        running = sweep._warm_pool
+        pool = real(size)
+        if pool is not running:
+            starts.append(size)
+        return pool
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SpyPool)
-    return starts
+    sweep._close_pool()
+    monkeypatch.setattr(sweep, "_pool", spy)
+    yield starts
+    sweep._close_pool()
 
 
 @pytest.fixture

@@ -404,7 +404,7 @@ def test_criterion_9_n_sweep_decile_shape(canonical_records, exact_entropy):
 # -- criterion 10: determinism across workers -----------------------------------
 
 def test_criterion_10_worker_determinism(tmp_path, real_pool_starts, cpus):
-    # n is large enough (65 ms modelled) that the 4-worker run pays for a pool
+    # n is large enough (63 ms modelled) that the 4-worker run pays for a pool
     # on a host with 4 CPUs, and the pool rule may count on them here
     cpus(4)
     spec = ExperimentSpec(

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from filex import core
 from filex.core import (
     Distribution,
     ProcessParams,
@@ -128,6 +129,14 @@ class TestMakeStreams:
         rng = np.random.default_rng(17)
         seeds = (rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False)
                  >> rng.integers(0, 64, 10_000).astype(np.uint64)).tolist()
+        streams = [stream for i in range(0, len(seeds), batch) for stream in _make_streams(seeds[i : i + batch])]
+        assert_default_rng_streams(streams, seeds)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_bulk_hash_of_small_batches(self, monkeypatch, batch):
+        # batches below core._BULK_SEEDS are built by default_rng; the hash must hold for them too
+        monkeypatch.setattr(core, "_BULK_SEEDS", 1)
+        seeds = EDGE_SEEDS + [12_345, 2**31]
         streams = [stream for i in range(0, len(seeds), batch) for stream in _make_streams(seeds[i : i + batch])]
         assert_default_rng_streams(streams, seeds)
 

@@ -1,7 +1,16 @@
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,8 +442,16 @@ def skewed_spec():
     )
 
 
+def tiny_sweep_spec():
+    # 1400 runs of n <= 3 in 2 chunks, 13 ms modelled: it pools only on a pool already running
+    return ExperimentSpec(
+        name="tiny", varied="n", sweep=SweepSpec(1, 3, 4, integral=True),
+        alpha=2.0, beta=3, s=3, replicates=350, master_seed=5,
+    )
+
+
 def n_sweep_spec():
-    # the benchmark's n sweep: n in {100, 1000, 10000, 100000}, 2 replicates, 74 ms modelled
+    # the benchmark's n sweep: n in {100, 1000, 10000, 100000}, 2 replicates, 73 ms modelled
     return ExperimentSpec(
         name="n-sweep", varied="n", sweep=SweepSpec(1e2, 1e5, 4, integral=True),
         alpha=1.0, beta=5, s=64, replicates=2, master_seed=3,
@@ -451,34 +468,34 @@ def call_costs(spec, workers, mode="fast", stride=1):
     return [kernel.price(len(call)) for kernel, call in sweep._calls(spec_tasks(spec, stride), mode, workers)]
 
 
-def pool_size(spec, workers, mode="fast", stride=1):
-    """The pool size :func:`sweep._pool_size` picks for ``spec``'s split calls, 0 for none."""
+def pool_size(spec, workers, mode="fast", stride=1, warm=0):
+    """The pool size :func:`sweep._pool_size` picks for ``spec``'s split calls with ``warm`` workers running, 0 for none."""
     costs = call_costs(spec, workers, mode, stride)
-    return sweep._pool_size(costs, sweep._chunk_plan(costs), workers, sum(call_costs(spec, 1, mode, stride)))
+    return sweep._pool_size(costs, sweep._chunk_plan(costs), workers, sum(call_costs(spec, 1, mode, stride)), warm)
 
 
 @pytest.fixture
 def pool_starts(monkeypatch):
     """Swap the process pool for an in-process one on 2 usable CPUs; list the worker count of each pool started.
 
-    A test that plans for more workers sets more CPUs with ``cpus``.
+    No pool runs at first. As with the real pool, a sweep starts one when the
+    running pool has fewer workers than it asks for, and later sweeps find
+    it warm. A test that plans for more workers sets more CPUs with ``cpus``.
     """
     starts = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            starts.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    def pool(size):
+        if sweep._warm_workers < size:
+            starts.append(size)
+            sweep._warm_workers = size
+        return InlinePool()
+
+    monkeypatch.setattr(sweep, "_warm_workers", 0)
+    monkeypatch.setattr(sweep, "_pool", pool)
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     return starts
 
@@ -552,11 +569,16 @@ class TestSchedule:
         serial = run_experiment(spec, workers=1)
         assert run_experiment(spec, workers=2) == serial
         assert run_experiment(spec, workers=3) == serial
+        # the pool of 2 is too small for 3 workers and is replaced; the pool of 3 serves both counts warm
+        assert real_pool_starts == [2, 3]
+        assert run_experiment(spec, workers=2) == serial
+        assert run_experiment(spec, workers=3) == serial
+        assert run_experiment(spec, workers=1) == serial
         assert real_pool_starts == [2, 3]
 
     @pytest.mark.parametrize("workers", [16, 64])
     def test_split_calls_do_not_buy_a_pool(self, pool_starts, monkeypatch, cpus, workers):
-        # split 16 or 50 ways, its 50 runs are priced at 213 or 435 ms, against 115 ms for the one
+        # split 16 or 50 ways, its 50 runs are priced at 213 or 437 ms, against 114 ms for the one
         # call that runs when no pool starts: the split's extra calls must not pay for a pool
         cpus(workers)
         spec = canonical_experiments(1)[0]
@@ -614,18 +636,54 @@ class TestSchedule:
         assert pool_starts == []
 
     def test_tiny_sweep_of_two_chunks_runs_without_a_pool(self, pool_starts):
-        # 600 runs of n <= 3, 16 ms modelled in 2 chunks: less than two workers' start-up
-        spec = ExperimentSpec(
-            name="tiny", varied="n", sweep=SweepSpec(1, 3, 4, integral=True),
-            alpha=2.0, beta=3, s=3, replicates=150, master_seed=5,
-        )
+        # 1400 runs of n <= 3, 13 ms modelled in 2 chunks: less than two workers' start-up
+        spec = tiny_sweep_spec()
         assert len(sweep._chunk_plan(call_costs(spec, 2))) == 2
         assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
         assert pool_starts == []
 
+    def test_warm_pool_takes_the_tiny_sweep(self, pool_starts):
+        # once 2 workers run, the same sweep pays only a dispatch for a 2-way makespan
+        spec = tiny_sweep_spec()
+        serial = run_experiment(spec, workers=1)
+        assert pool_size(spec, 2, warm=2) == pool_size(spec, 2, warm=3) == 2
+        run_experiment(n_sweep_spec(), workers=2)
+        assert run_experiment(spec, workers=2) == serial
+        assert pool_starts == [2]
+
+    def test_smaller_warm_pool_is_priced_as_a_new_one(self, pool_starts):
+        # a running pool of 1 is replaced, so a sweep on 2 workers pays for starting both
+        spec = tiny_sweep_spec()
+        assert pool_size(spec, 2, warm=1) == pool_size(spec, 2, warm=0) == 0
+        assert pool_size(n_sweep_spec(), 2, warm=1) == 2
+        serial = run_experiment(spec, workers=1)
+        sweep._warm_workers = 1
+        assert run_experiment(spec, workers=2) == serial
+        assert pool_starts == []
+
+    @pytest.mark.parametrize("workers", [16, 64])
+    def test_warm_pool_spreads_split_calls(self, workers):
+        # the split calls of the reduced reference alpha sweep cost more than the unsplit one,
+        # but not once a pool of that many workers runs and the makespan is shared out
+        spec = canonical_experiments(1)[0]
+        k = min(workers, 50)  # one chunk per run at most
+        for warm in (0, 2, k - 1):
+            assert pool_size(spec, workers, "reference", sweep.REDUCED_STRIDE, warm) == 0
+        assert pool_size(spec, workers, "reference", sweep.REDUCED_STRIDE, k) == k
+
+    def test_tiny_pool_workload_never_pools(self):
+        # the benchmark's tiny-pool jobs: 50 replicates over 4 points, one chunk each, cold or warm
+        for beta, s, mode in [(3, 3, "fast"), (1, 1, "fast"), (3, 3, "reference")]:
+            spec = replace(tiny_sweep_spec(), beta=beta, s=s, replicates=50)
+            assert len(sweep._chunk_plan(call_costs(spec, 2, mode))) == 1
+            assert pool_size(spec, 2, mode, warm=0) == pool_size(spec, 2, mode, warm=2) == 0
+
     def test_n_sweep_takes_the_pool(self, pool_starts):
         spec = n_sweep_spec()
-        assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
+        assert pool_size(spec, 2) == pool_size(spec, 2, warm=2) == 2
+        serial = run_experiment(spec, workers=1)
+        assert run_experiment(spec, workers=2) == serial
+        assert run_experiment(spec, workers=2) == serial
         assert pool_starts == [2]
 
     @pytest.mark.parametrize(
@@ -640,28 +698,155 @@ class TestSchedule:
         st.lists(st.floats(min_value=0.0, max_value=6e4), min_size=1, max_size=60),
         st.integers(min_value=2, max_value=64),
         st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=64),
     )
-    def test_pool_only_when_it_pays_for_its_start_up(self, costs, workers, unsplit_share):
-        # the bar is the price of the unsplit calls, at most the split total
+    def test_pool_only_when_it_pays_for_its_start_up(self, costs, workers, unsplit_share, warm):
+        # the bar is the price of the unsplit calls, at most the split total; a running pool of
+        # at least k workers costs only a dispatch, a smaller one is replaced by k new workers
         plan = sweep._chunk_plan(costs)
         total = sum(costs)
         bar = unsplit_share * total
-        size = sweep._pool_size(costs, plan, workers, bar)
+        size = sweep._pool_size(costs, plan, workers, bar, warm)
         largest = max(sum(costs[i] for i in chunk) for chunk in plan)
+        k = min(workers, len(plan))
+        cost = sweep._POOL_SWEEP_US + (sweep._POOL_WORKER_US * k if warm < k else 0.0)
         if len(plan) == 1:
             assert size == 0
         if size:
-            assert size == min(workers, len(plan))
-            assert sweep._POOL_WORKER_US * size + max(total / size, largest) < bar
+            assert size == k
+            assert cost + max(total / size, largest) < bar
         else:
-            k = min(workers, len(plan))
-            assert sweep._POOL_WORKER_US * k + max(total / k, largest) >= bar
+            assert cost + max(total / k, largest) >= bar
+        # a warm pool never turns a pooled sweep away
+        assert size <= sweep._pool_size(costs, plan, workers, bar, max(warm, k))
+        assert sweep._pool_size(costs, plan, workers, bar, 0) <= size
 
     def test_unknown_mode_rejected_before_any_run(self, pool_starts):
         spec = n_sweep_spec()
         with pytest.raises(InvalidParameterError, match="mode"):
             run_experiment(spec, mode="Fast", workers=2)
         assert pool_starts == []
+
+
+def alive(pid):
+    """Whether process ``pid`` still runs: it exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def children(pid):
+    """PIDs of the running processes whose parent is ``pid``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:  # it ended while the directory was read
+            continue
+        if int(ppid) == pid and state not in "ZX":
+            found.append(int(stat.parent.name))
+    return found
+
+
+# With the start method argv[2]: a pooled n sweep on 2 workers, checked against one
+# in-process, then the worker PIDs on one line; with "kill" it waits to be killed.
+PARENT_SCRIPT = """
+import multiprocessing, sys, time
+from filex import sweep
+from filex.sweep import ExperimentSpec, SweepSpec, run_experiment
+multiprocessing.set_start_method(sys.argv[2])
+sweep._usable_cpus = lambda: 2
+spec = ExperimentSpec(name="n-sweep", varied="n", sweep=SweepSpec(1e2, 1e5, 4, integral=True),
+                      alpha=1.0, beta=5, s=64, replicates=2, master_seed=3)
+assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
+print(*[child.pid for child in multiprocessing.active_children()], flush=True)
+if sys.argv[1] == "kill":
+    time.sleep(60)
+"""
+
+
+class TestWarmPool:
+    def test_broken_pool_is_replaced(self, real_pool_starts):
+        spec = n_sweep_spec()
+        serial = run_experiment(spec, workers=1)
+        assert run_experiment(spec, workers=2) == serial
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        os.kill(workers[0].pid, signal.SIGKILL)
+        assert run_experiment(spec, workers=2) == serial
+        assert real_pool_starts == [2, 2]
+        assert run_experiment(spec, workers=2) == serial
+        assert real_pool_starts == [2, 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks")
+    def test_forked_child_does_not_reuse_the_pool(self, real_pool_starts):
+        assert run_experiment(n_sweep_spec(), workers=2)
+        assert real_pool_starts == [2]
+        child = os.fork()
+        if child == 0:  # the parent's pool is not the child's to use
+            os._exit(0 if sweep._warm_pool is None and sweep._warm_workers == 0 else 1)
+        assert os.waitpid(child, 0)[1] == 0
+        assert sweep._warm_workers == 2
+
+    def test_threads_take_turns_on_the_pool(self, real_pool_starts, monkeypatch, cpus):
+        # a sweep on 3 workers replaces a pool of 2, so it must wait while a sweep in another
+        # thread has taken that pool and runs chunks on it; the sweep on 2 gives it half a
+        # second, after taking the pool, to replace it
+        cpus(3)
+        spec = n_sweep_spec()
+        serial = run_experiment(spec, workers=1)
+        taken, replaced = threading.Event(), threading.Event()
+        spy = sweep._pool
+
+        def pool(size):
+            running = spy(size)
+            if size == 2:
+                taken.set()
+                replaced.wait(0.5)
+            else:
+                replaced.set()
+            return running
+
+        monkeypatch.setattr(sweep, "_pool", pool)
+
+        def sweep_on(workers):
+            if workers == 3:
+                taken.wait(10)
+            return run_experiment(spec, workers=workers)
+
+        with ThreadPoolExecutor(2) as threads:
+            assert list(threads.map(sweep_on, [2, 3])) == [serial, serial]
+        assert real_pool_starts == [2, 3]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_workers_do_not_outlive_their_parent(self, ending, method):
+        # the workers, and the helpers the pool's process started (a forkserver, whose children
+        # the workers then are, and the resource tracker), all end after it
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        parent = subprocess.Popen([sys.executable, "-c", PARENT_SCRIPT, ending, method],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        pids = sorted(set(workers) | set(children(parent.pid)))
+        try:
+            assert len(workers) == 2
+            if ending == "kill":
+                parent.kill()  # SIGKILL: no exit hook shuts the pool down
+            assert parent.wait(timeout=60) == (-signal.SIGKILL if ending == "kill" else 0)
+            deadline = time.monotonic() + 10
+            while any(map(alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if alive(pid)]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+            for pid in filter(alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestCorrelationTable:
