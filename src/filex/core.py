@@ -273,18 +273,24 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _inverse_cdf_counts(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.bincount(_inverse_cdf(weights, u), minlength=weights.size)``, by sorting.
+    """``np.bincount(_inverse_cdf(weights[r], u[r]), minlength=s)`` as row r, for every row of the 2-d arrays, by sorting.
 
     Index i is chosen for every variate below ``cdf[i] / total`` and at or
     above ``cdf[i - 1] / total``, so the counts are differences of the number
     of sorted targets below each prefix sum (the last index takes the rest,
-    as the clamp does). s binary searches into the sorted targets replace one
-    search per variate.
+    as the clamp does). s binary searches per row into its sorted targets
+    replace one search per variate. ``u`` is sorted and scaled in place.
     """
-    cdf = np.cumsum(weights)
-    below = np.searchsorted(np.sort(u) * cdf[-1], cdf, side="left")
-    below[-1] = u.size
-    return np.diff(below, prepend=0)
+    cdf = np.add.accumulate(weights, axis=1)
+    u.sort(axis=1)
+    u *= cdf[:, -1:]
+    below = np.empty(cdf.shape, dtype=np.intp)
+    for row, targets, keys in zip(below, u, cdf):
+        row[:] = targets.searchsorted(keys, side="left")
+    below[:, -1] = u.shape[1]
+    counts = below.copy()
+    np.subtract(below[:, 1:], below[:, :-1], out=counts[:, 1:])
+    return counts
 
 
 # The kernels below run R runs that share their group key (:func:`_kernel`)
@@ -376,8 +382,13 @@ def _multinomial_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream
     return w
 
 
+# A block whose copies are at least 1/_DENSE_COPIES of its draws follows
+# every draw: there, whole-array passes beat gathers over the copies alone.
+_DENSE_COPIES = 2
+
+
 def _block_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], block_iterations: int | None = None) -> np.ndarray:
-    """Final weights by the urn's copy form, ``block_iterations`` iterations at a time, row by row.
+    """Final weights by the urn's copy form, ``block_iterations`` iterations at a time, a group of rows at a time.
 
     The frozen weights of iteration j are alpha/s per symbol plus 1/beta per
     earlier draw, so each of its draws is, with probability alpha/(alpha + j),
@@ -387,34 +398,66 @@ def _block_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], blo
     at iteration a, x < alpha + a picks a symbol from the block-start weights,
     which hold the fresh mass and every earlier block's draws, and otherwise
     the draw copies the in-block draw at offset floor((x - alpha - a)*beta),
-    which lies in an earlier iteration. Pointer jumping resolves every copy to
-    the draw it descends from, and the block's hits are added at once.
-    O(n beta log B + s n / block_iterations) time per row for B =
-    block_iterations beta draws per block, O(R s + B) memory; the default B
-    is about ``_BLOCK_DRAWS``.
+    which lies in an earlier iteration. Only the copies are followed: their
+    sources go into a root array that holds every other draw as its own
+    root, and pointer jumping over the copies resolves each to the draw it
+    descends from. Late in a run few draws copy (about 1 - k ln(1 + 1/k) of
+    block k), so that work shrinks with the block's copies; a block where at
+    least 1/``_DENSE_COPIES`` of the draws copy follows all of them, in
+    whole-array passes. Then every draw takes the symbol its root picks from
+    the block-start weights, and the block's hits are added at once.
+
+    The rows step through each block together in groups of G = max(1,
+    ``_BLOCK_DRAWS`` // B) for B = block_iterations * beta draws per block,
+    so blocks of a few draws share their numpy passes over many rows, and
+    sweep-sized blocks (B about ``_BLOCK_DRAWS``) go row by row. Row r draws
+    each block's variates from ``rngs[r]`` alone, in block order, so it
+    equals a run of its own. O(n beta log B + s n / block_iterations) time
+    per row, O(R s + G B) memory.
     """
     beta, n = rows[0].beta, rows[0].n
     if block_iterations is None:
         block_iterations = max(1, _BLOCK_DRAWS // beta)
-    draw = np.arange(min(block_iterations, n) * beta)
-    iteration = draw // beta  # of each draw, counted from the block start
+    block = min(block_iterations, n) * beta
+    group = max(1, _BLOCK_DRAWS // max(1, block))
+    iteration = np.arange(block) // beta  # of each draw, counted from the block start
     earlier = iteration * beta  # in-block draws made before its iteration
+    alphas = np.array([[p.alpha] for p in rows])
     w = _initial_weights(rows)
-    for r, rng in enumerate(rngs):
+    # per (rows, size) of a group's block: the variate buffer and, for each draw
+    # of it flattened, its index, its row's first draw and the last in-block
+    # offset it may copy
+    layouts: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    for g in range(0, len(rows), group):
+        streams, weights = rngs[g:g + group], w[g:g + group]
         for a in range(0, n, block_iterations):
             size = min(block_iterations, n - a) * beta
-            start = rows[r].alpha + a
-            x = rng.random(size) * (start + iteration[:size])
+            shape = (len(streams), size)
+            if shape not in layouts:
+                draw = np.arange(len(streams) * size)
+                layouts[shape] = (np.empty(shape), draw, draw - draw % size, np.tile(earlier[:size] - 1.0, len(streams)))
+            x, draw, first, last = layouts[shape]
+            for rng, row in zip(streams, x):
+                rng.random(out=row)
+            start = alphas[g:g + group] + a
+            x *= start + iteration[:size]
+            past = (x - start).reshape(-1)  # how far each draw lies past the block-start mass
+            copies = past >= 0
+            follow = slice(None) if _DENSE_COPIES * np.count_nonzero(copies) >= copies.size else np.flatnonzero(copies)
             # rounding can carry the offset into the draw's own iteration: clamp it
-            source = np.minimum(np.floor((x - start) * beta), earlier[:size] - 1).astype(np.intp)
-            source = np.where(source < 0, draw[:size], source)
+            offset = np.minimum(np.floor(past[follow] * beta), last[follow])
+            root = draw.copy()
+            root[follow] = source = np.where(offset < 0, draw[follow], offset.astype(np.intp) + first[follow])
             while True:
-                jumped = source[source]
-                if np.array_equal(jumped, source):
+                jumped = root[source]
+                if (jumped == source).all():
                     break
-                source = jumped
-            # every draw takes the symbol its source picks from the block-start weights
-            w[r] += _inverse_cdf_counts(w[r], x[source] / start) / beta
+                root[follow] = source = jumped
+            # every draw takes the symbol its root picks from the block-start weights
+            flat = x.reshape(-1)
+            flat[follow] = flat[source]
+            np.divide(x, start, out=x)
+            weights += _inverse_cdf_counts(weights, x) / beta
     return w
 
 
@@ -462,9 +505,13 @@ _BLOCK_DRAW_US = 0.047
 #   10 at (32768, 64), 40 to 51 at (2000, 256), and 12 to 16 over 63 rows of
 #   the canonical beta sweep (beta 187 to 32768, s = 64): 2.5 us plus 0.18
 #   per symbol, which prices that sweep's mix of betas;
-# - block copy kernel: it runs its rows one after another, so it has no part
-#   per call-iteration; a row took 0.7 to 0.85 times its pick price above,
-#   which serves as its price.
+# - block copy kernel: no part per call-iteration; a row's pick price above
+#   serves as its price. A row took 0.7 to 0.85 times it when each row ran
+#   alone, and takes less now that the kernel follows only the draws that
+#   copy and steps blocks of a few draws in groups of rows (an n = 1e5 row
+#   at (beta, s) = (5, 64) took 9.4 against 11.9 ms). The prices keep their
+#   values: they only schedule work, and the re-fit of every call price is
+#   open in ROADMAP.md (item 4, price check).
 _CALL_US = 104.0
 _ROW_US = 4.0
 _CALL_ITERATION_US = 6.5

@@ -204,16 +204,17 @@ def canonical_experiments(master_seed: int) -> list[ExperimentSpec]:
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """One round of the SplitMix64 integer mixer on every element of a uint64 array.
+def _splitmix64(z):
+    """One round of the SplitMix64 integer mixer on a Python int in [0, 2**64), or on every element of a uint64 array.
 
-    Array arithmetic wraps mod 2**64 silently; keep the operands arrays, as
-    numpy scalars warn on overflow.
+    The mask after the add and after each multiply takes a Python int mod
+    2**64; array arithmetic wraps there already, silently. Keep array
+    operands arrays, as numpy scalars warn on overflow.
     """
-    z = values + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _run_seeds(master_seed: int, points: Sequence[int], replicates: Sequence[int]) -> np.ndarray:
@@ -221,8 +222,7 @@ def _run_seeds(master_seed: int, points: Sequence[int], replicates: Sequence[int
 
     The inputs are integers in [0, 2**64).
     """
-    h = _splitmix64(np.array([master_seed], dtype=np.uint64))
-    h = _splitmix64(h ^ np.array(points, dtype=np.uint64)[:, None])
+    h = _splitmix64(np.array(points, dtype=np.uint64)[:, None] ^ _splitmix64(master_seed))
     return _splitmix64(h ^ np.array(replicates, dtype=np.uint64))
 
 
@@ -234,7 +234,7 @@ def derive_run_seed(master_seed: int, point_index: int, replicate: int) -> int:
     cannot change it.
     """
     master_seed, point_index, replicate = (int(v) & _MASK64 for v in (master_seed, point_index, replicate))
-    return int(_run_seeds(master_seed, [point_index], [replicate])[0, 0])
+    return _splitmix64(_splitmix64(_splitmix64(master_seed) ^ point_index) ^ replicate)
 
 
 def _calls(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int = 1) -> list[tuple[Kernel, list[int]]]:
@@ -305,16 +305,27 @@ def _chunk_plan(costs: Sequence[float]) -> list[list[int]]:
     return chunks
 
 
-# Modelled start-up plus shutdown of a process pool, per worker, and the
-# dispatch of one sweep to a pool that is already running. Interleaved
-# medians on 2 CPUs (Python 3.11, numpy 2.4, fork), scaled to 11.6 us per
-# multinomial iteration at s = 64: a pool that starts its workers, runs one
-# empty chunk on each and shuts down took 10.7 ms with 1 worker, 14.5 ms with
-# 2 and 26.0 ms with 4, so 7.3 ms and 6.5 ms per worker at 2 and 4; one empty
-# chunk per worker on a running pool took 0.40 ms with 1 worker and 0.64 ms
-# with 2.
-_POOL_WORKER_US = 7_500.0
+# Modelled start-up plus shutdown of a process pool, per worker, by the
+# start method its workers take, and the dispatch of one sweep to a pool
+# that is already running. Interleaved medians on 2 CPUs (Python 3.11,
+# numpy 2.4), scaled to 11.6 us per multinomial iteration at s = 64: a pool
+# that starts its workers, runs one empty chunk on each and shuts down took,
+# under fork, 10.7 ms with 1 worker, 14.5 ms with 2 and 26.0 ms with 4, so
+# 7.3 ms and 6.5 ms per worker at 2 and 4. Under forkserver and spawn each
+# worker imports numpy and filex first. The same steps through
+# multiprocessing.get_context(method), scaled by perfbench/hostspeed.py's
+# unit, medians of 7 interleaved rounds, took 112 ms with 1 worker and 171
+# ms with 2 under forkserver and 169 ms and 269 ms under spawn, while fork
+# read 7.3 ms and 8.4 ms; the price per worker is the 2-worker time over 2.
+# One empty chunk per worker on a running pool took 0.40 ms with 1 worker
+# and 0.64 ms with 2.
+_POOL_WORKER_US = {"fork": 7_500.0, "forkserver": 85_000.0, "spawn": 135_000.0}
 _POOL_SWEEP_US = 700.0
+
+
+def _start_method() -> str:
+    """The start method a pool started now would give its workers, read without fixing this process's."""
+    return multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
 
 
 def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int, bar: float, warm: int) -> int:
@@ -326,13 +337,14 @@ def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int, bar:
     min(workers, chunks) processes pays for itself when its modelled cost
     plus its makespan bound, the larger of an even share of the split total
     and the costliest chunk, is below ``bar``. Its cost is one sweep's
-    dispatch, plus the start-up of all k workers unless ``warm`` is at least
-    k, since a smaller pool is replaced. A split adds calls, never removes
-    them, so one chunk (k = 1) never pools.
+    dispatch, plus the start-up of all k workers under the start method in
+    use (:func:`_start_method`) unless ``warm`` is at least k, since a
+    smaller pool is replaced. A split adds calls, never removes them, so one
+    chunk (k = 1) never pools.
     """
     k = min(workers, len(plan))
     largest = max(sum(costs[i] for i in chunk) for chunk in plan)
-    start_up = _POOL_WORKER_US * k if warm < k else 0.0
+    start_up = _POOL_WORKER_US[_start_method()] * k if warm < k else 0.0
     return k if _POOL_SWEEP_US + start_up + max(sum(costs) / k, largest) < bar else 0
 
 

@@ -4,8 +4,8 @@ Everything here is deliberately written against the definitions rather than
 reusing package code paths: correlation by explicit pair classification,
 process outcome distributions by exact rational enumeration, one symbol's
 hit-count law and the expected entropy at sweep sizes by an exact dynamic
-program over that hit count, and the law of the number of symbols hit from
-the urn's copy form.
+program over that hit count, the law of the number of symbols hit from
+the urn's copy form, and the block copy kernel as a plain loop over rows.
 Nothing here imports ``filex``.
 """
 
@@ -300,3 +300,37 @@ def hit_count_outcomes(probs: np.ndarray, alpha: float, beta: int, s: int, n: in
     """Tally the rows of final normalized distributions ``probs`` by their total hit counts (:func:`hit_counts`)."""
     outcomes, tallies = np.unique(hit_counts(probs, alpha, beta, s, n), axis=0, return_counts=True)
     return {tuple(outcome.tolist()): int(tally) for outcome, tally in zip(outcomes, tallies)}
+
+
+def block_copy_rows(alphas, beta: int, s: int, n: int, rngs, block_iterations: int) -> np.ndarray:
+    """Final weights of the block copy kernel, one row per alpha, by a loop over rows and then blocks.
+
+    Row r runs alone on ``rngs[r]``, block after block of ``block_iterations``
+    iterations. In the block that starts at iteration a, a draw of iteration
+    j takes x = u*(alpha + j); x < alpha + a picks from the block-start
+    weights by inverse CDF, and otherwise the draw copies the in-block draw
+    at offset floor((x - alpha - a)*beta), clamped into earlier iterations.
+    Pointer jumping over every draw of the block resolves each copy to its
+    root, whose x picks the symbol.
+    """
+    w = np.empty((len(alphas), s))
+    w.T[:] = [alpha / s for alpha in alphas]
+    draw = np.arange(min(block_iterations, n) * beta)
+    iteration = draw // beta
+    earlier = iteration * beta
+    for r, (alpha, rng) in enumerate(zip(alphas, rngs)):
+        for a in range(0, n, block_iterations):
+            size = min(block_iterations, n - a) * beta
+            start = alpha + a
+            x = rng.random(size) * (start + iteration[:size])
+            source = np.minimum(np.floor((x - start) * beta), earlier[:size] - 1).astype(np.intp)
+            source = np.where(source < 0, draw[:size], source)
+            while True:
+                jumped = source[source]
+                if np.array_equal(jumped, source):
+                    break
+                source = jumped
+            cdf = np.cumsum(w[r])
+            picks = np.minimum(np.searchsorted(cdf, x[source] / start * cdf[-1], side="right"), s - 1)
+            w[r] += np.bincount(picks, minlength=s) / beta
+    return w

@@ -239,9 +239,12 @@ def test_criterion_4_fast_path_equivalence():
     # Runs this small stay on the multinomial loop, so the block copy kernel
     # is also called directly, with blocks of one iteration (every later draw
     # picks from the block-start weights) and of two (draws copy in-block draws).
-    # Each configuration's samples are the rows of one call on one stream: the
-    # block kernel runs its rows one after another, so they draw the variates
-    # of as many calls made in sequence.
+    # Each configuration's samples are the rows of one call on one stream. The
+    # block kernel steps these tiny runs through each block in groups of
+    # hundreds of rows, so with more than one block per row the samples are
+    # block-major: a group's rows draw their first block's variates, then
+    # their second block's. The draws stay i.i.d. uniforms, one fresh
+    # variate per draw, so the rows stay independent runs of the process.
     alpha = 2.0
     samples = 100_000
     block_samples = 30_000

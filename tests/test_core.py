@@ -46,6 +46,7 @@ from filex.stats import shannon_entropy_bits
 
 from oracles import (
     binned_chi2_pvalue,
+    block_copy_rows,
     chi2_gof_pvalue,
     distinct_symbol_law,
     distinct_symbols,
@@ -224,14 +225,16 @@ class TestSampleCategorical:
 
     def test_counts_equal_histogram_of_indices(self):
         # the block kernel's sorted form must pick exactly the indices the
-        # per-variate search picks, ties on prefix sums and u = 1 included
+        # per-variate search picks, ties on prefix sums and u = 1 included,
+        # in every row of a call
         rng = np.random.default_rng(25)
         for weights in (np.array([5.0]), np.array([0.5, 0.5, 1.0, 2.0]), rng.random(64) + 1e-9):
             cdf = np.cumsum(weights)
             edges = np.r_[cdf / cdf[-1], np.nextafter(cdf / cdf[-1], 0.0)]
-            for u in (rng.random(1000), np.r_[edges, 0.0, 1.0]):
-                expected = np.bincount(_inverse_cdf(weights, u), minlength=weights.size)
-                assert _inverse_cdf_counts(weights, u).tolist() == expected.tolist()
+            rows = [rng.random(1000), np.r_[edges, 0.0, 1.0, rng.random(998 - edges.size)], rng.random(1000)]
+            rows_weights = np.array([weights, weights, weights * 3.0])
+            expected = [np.bincount(_inverse_cdf(w, u), minlength=weights.size) for w, u in zip(rows_weights, rows)]
+            assert _inverse_cdf_counts(rows_weights, np.array(rows)).tolist() == np.array(expected).tolist()
 
 
 class TestStep:
@@ -421,6 +424,22 @@ class TestRun:
                         assert _kernel(params, mode) == expected
                         assert _kernel(params, mode).price(3) == expected[2] + 3 * expected[3]
 
+    def test_block_kernel_copies_only_earlier_iterations(self):
+        # u = 1 puts x at the end of its iteration, the offset clamp's one case: the iteration-0
+        # draw stays a root (the last symbol), each later draw copies the previous iteration's
+        # last draw, never one of its own iteration, and only draw 0 (u = 0.1) picks symbol 0
+        class EndOfIteration:
+            def random(self, size=None, out=None):
+                out = np.empty(size) if out is None else out
+                out[:] = 1.0
+                out[0] = 0.1
+                return out
+
+        params = ProcessParams(1.0, 2, 3, 3)
+        expected = [[1 / 3 + 0.5, 1 / 3, 1 / 3 + 2.5]]
+        assert _block_rows([params], [EndOfIteration()]).tolist() == expected
+        assert block_copy_rows([1.0], 2, 3, 3, [EndOfIteration()], 3).tolist() == expected
+
     def test_block_kernel_long_copy_chains(self):
         # one block over all four iterations: copies of copies, resolved by pointer jumping
         alpha, beta, s, n = 2.0, 2, 3, 4
@@ -432,28 +451,61 @@ class TestRun:
         assert chi2_gof_pvalue(hit_count_outcomes(probs, alpha, beta, s, n), expected, trials) > 0.01
 
 
-@pytest.mark.parametrize(
-    "kernel,params,rows",
-    [
-        (functools.partial(_block_rows, block_iterations=1), ProcessParams(2.0, 3, 3, 2), 500),
-        (functools.partial(_block_rows, block_iterations=2), ProcessParams(2.0, 3, 3, 2), 500),
-        (_reference_rows, ProcessParams(2.0, 1, 2, 2), 1000),
-        (_reference_rows, ProcessParams(2.0, 1, 2, 2), 2048),
-    ],
-    ids=["block-1", "block-2", "reference", "reference-widest"],
-)
-def test_shared_stream_rows_equal_calls_in_sequence(kernel, params, rows):
+@pytest.mark.parametrize("rows", [1000, 2048], ids=["reference", "reference-widest"])
+def test_shared_stream_rows_equal_calls_in_sequence(rows):
     """R rows on one stream draw exactly the variates of R one-row calls made in sequence.
 
-    The law tests draw their samples this way. The block kernel runs its rows
-    one after another; the reference loop does so while one block holds all of
-    a row's iterations, ``_BLOCK_DRAWS // (beta * R) >= n``.
+    Criterion 3 draws its samples this way. The reference loop runs its rows
+    one after another while one block holds all of a row's iterations,
+    ``_BLOCK_DRAWS // (beta * R) >= n``.
     """
-    if kernel is _reference_rows:
-        assert _BLOCK_DRAWS // (params.beta * rows) >= params.n
+    params = ProcessParams(2.0, 1, 2, 2)
+    assert _BLOCK_DRAWS // (params.beta * rows) >= params.n
     rng = make_stream(27)
-    alone = np.concatenate([kernel([params], [rng]) for _ in range(rows)])
-    assert np.array_equal(kernel([params] * rows, [make_stream(27)] * rows), alone)
+    alone = np.concatenate([_reference_rows([params], [rng]) for _ in range(rows)])
+    assert np.array_equal(_reference_rows([params] * rows, [make_stream(27)] * rows), alone)
+
+
+def random_block_call(seed: int) -> tuple:
+    """A random call of the block copy kernel: (alphas, beta, s, n, block_iterations).
+
+    Alpha is drawn per row from 1e-4 to 1e2, beta from 1 to 40, s from 1 to
+    80, n from 0 to 4000, block_iterations is None (the default) or 1 to 60,
+    and the row count from 1 to 3000, cut so the row-by-row oracle walks at
+    most about 3000 blocks and 1e6 draws.
+    """
+    rng = np.random.default_rng(seed)
+    beta, s, n = int(rng.integers(1, 41)), int(rng.integers(1, 81)), int(rng.integers(0, 4001))
+    block_iterations = None if rng.random() < 0.5 else int(rng.integers(1, 61))
+    blocks = -(-n // (block_iterations or max(1, _BLOCK_DRAWS // beta)))
+    rows = min(int(np.exp(rng.uniform(0.0, math.log(3000)))), max(1, 3000 // max(1, blocks)),
+               max(1, 10**6 // max(1, n * beta)))
+    return (10.0 ** rng.uniform(-4.0, 2.0, rows)).tolist(), beta, s, n, block_iterations
+
+
+# Calls of the block copy kernel, (alphas, beta, s, n, block_iterations):
+# criterion 4's shape over 500 rows with blocks of one and two iterations,
+# which step 1365 and 682 rows to a group; 3000 rows in two groups; no
+# iterations; blocks where nearly every draw copies; late blocks where few
+# do; and random calls.
+BLOCK_CALLS = {
+    "block-1": ([2.0] * 500, 3, 3, 2, 1),
+    "block-2": ([2.0] * 500, 3, 3, 2, 2),
+    "many-rows": ([0.5, 5.0] * 1500, 2, 4, 3, 1),
+    "no-iterations": ([1.0, 2.0], 5, 7, 0, None),
+    "copy-heavy": ([1e-4, 3e-4, 1e-3] * 4, 40, 64, 300, None),
+    "root-heavy": ([100.0, 50.0], 1, 80, 4000, 60),
+    **{f"random-{seed}": random_block_call(seed) for seed in range(16)},
+}
+
+
+@pytest.mark.parametrize("alphas,beta,s,n,block_iterations", BLOCK_CALLS.values(), ids=BLOCK_CALLS.keys())
+def test_block_rows_equal_row_by_row_oracle(alphas, beta, s, n, block_iterations):
+    """Every row of a call, each on its own stream, equals the row-by-row loop bit for bit: a run alone."""
+    rows = [ProcessParams(alpha, beta, s, n) for alpha in alphas]
+    seeds = range(7000, 7000 + len(rows))
+    expected = block_copy_rows(alphas, beta, s, n, _make_streams(seeds), block_iterations or max(1, _BLOCK_DRAWS // beta))
+    assert np.array_equal(_block_rows(rows, _make_streams(seeds), block_iterations), expected)
 
 
 # Symbol 0's final hit count at sweep sizes, one point per kernel: (mode,

@@ -686,6 +686,27 @@ class TestSchedule:
         assert run_experiment(spec, workers=2) == serial
         assert pool_starts == [2]
 
+    @pytest.mark.parametrize("fixed,methods", [("spawn", ["fork", "spawn"]), (None, ["spawn", "fork"])],
+                             ids=["set", "default"])
+    def test_spawned_workers_are_priced_as_such(self, monkeypatch, fixed, methods):
+        # under spawn each worker imports numpy and filex: the n sweep no longer pays for a cold
+        # pool, but still takes one that runs; the method is read as set, or else as the default,
+        # the first of all start methods
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: fixed)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        assert sweep._start_method() == "spawn"
+        spec = n_sweep_spec()
+        assert pool_size(spec, 2) == 0
+        assert pool_size(spec, 2, warm=2) == 2
+
+    def test_pricing_leaves_the_start_method_unset(self):
+        code = ("import multiprocessing\nfrom filex import sweep\n"
+                "assert sweep._start_method() in multiprocessing.get_all_start_methods()\n"
+                "assert multiprocessing.get_start_method(allow_none=True) is None\n")
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
     @pytest.mark.parametrize(
         "name,mode,stride",
         [(name, "fast", 1) for name in ("alpha", "beta", "s", "n")] + [("alpha", "reference", sweep.REDUCED_STRIDE)],
@@ -709,7 +730,7 @@ class TestSchedule:
         size = sweep._pool_size(costs, plan, workers, bar, warm)
         largest = max(sum(costs[i] for i in chunk) for chunk in plan)
         k = min(workers, len(plan))
-        cost = sweep._POOL_SWEEP_US + (sweep._POOL_WORKER_US * k if warm < k else 0.0)
+        cost = sweep._POOL_SWEEP_US + (sweep._POOL_WORKER_US[sweep._start_method()] * k if warm < k else 0.0)
         if len(plan) == 1:
             assert size == 0
         if size:
@@ -752,12 +773,14 @@ def children(pid):
 
 # With the start method argv[2]: a pooled n sweep on 2 workers, checked against one
 # in-process, then the worker PIDs on one line; with "kill" it waits to be killed.
+# The pool starts first: a cold n sweep pays for a pool under fork only.
 PARENT_SCRIPT = """
 import multiprocessing, sys, time
 from filex import sweep
 from filex.sweep import ExperimentSpec, SweepSpec, run_experiment
 multiprocessing.set_start_method(sys.argv[2])
 sweep._usable_cpus = lambda: 2
+sweep._pool(2)
 spec = ExperimentSpec(name="n-sweep", varied="n", sweep=SweepSpec(1e2, 1e5, 4, integral=True),
                       alpha=1.0, beta=5, s=64, replicates=2, master_seed=3)
 assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)

@@ -15,7 +15,9 @@ diff between the commit and a later one reproduces); the CPU count and the
 Python and numpy versions; and a summary per workload and end-to-end
 metric: each side's median and quartiles, the ratio of the medians (change /
 parent) and the pairs the change won, by the direction ``BENCHMARK.json``
-gives the metric. Standard library only; progress goes to stderr.
+gives the metric. A run that reports ``correct: false`` or failed operations
+cannot be counted: the tool then names its workload, pair and side, writes
+no file and exits 1. Standard library only; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -111,9 +113,13 @@ def main(argv=None) -> int:
             seed = args.seed + pair
             for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
                 doc = bench(roots[side], workload, seed, seconds)
-                runs.append({"workload": workload, "pair": pair, "side": side, "order": order, "seed": seed, **doc})
                 wall = doc["metrics"]["wall_s"]["value"]
                 print(f"{workload} pair {pair} {side}: wall_s {wall:.4f} correct {doc['correct']}", file=sys.stderr)
+                if not doc["correct"] or doc["failed"] > 0:
+                    print(f"refused: {workload} pair {pair} {side} reported correct {doc['correct']} with "
+                          f"{doc['failed']} of {doc['attempted']} operations failed; no file written", file=sys.stderr)
+                    return 1
+                runs.append({"workload": workload, "pair": pair, "side": side, "order": order, "seed": seed, **doc})
     doc = {
         "seconds": seconds,
         "pairs": args.pairs,
