@@ -28,8 +28,9 @@ from .errors import InvalidInputError, InvalidParameterError
 
 # Deterministic uniform-variate stream: PCG64 seeded as SeedSequence(seed)
 # seeds it, so the same 64-bit seed always reproduces the same variate
-# sequence, bit for bit that of np.random.default_rng(seed). The streams of a
-# kernel call are built together (:func:`_make_streams`).
+# sequence, bit for bit that of np.random.default_rng(seed). A sweep hashes
+# all its seeds at once (:func:`_seed_words`) and builds each row's stream
+# from its words (:func:`_stream`).
 RandomStream = np.random.Generator
 
 _MAX_SEED = 2**64
@@ -169,27 +170,14 @@ class _SeedWords(ISeedSequence):
         return self.words  # PCG64 asks for 4 uint64 words
 
 
-# Fewest seeds hashed together: below it numpy's own constructor, about 12
-# to 17 us a stream, beats the bulk hash, about 52 to 60 us a call plus about
-# 4 a stream (best of 5 rounds of timeit, 2 CPUs, Python 3.11, numpy 2.4).
-_BULK_SEEDS = 4
-
-
-def _make_streams(seeds: Sequence[int]) -> list[RandomStream]:
-    """One stream per 64-bit seed, each bit-identical to ``np.random.default_rng(seed)``.
-
-    From :data:`_BULK_SEEDS` seeds on, the seeds are hashed together
-    (:func:`_seed_words`), and numpy's own PCG64 seeding takes each row's
-    words; fewer seeds are each built by ``default_rng``.
-    """
-    if len(seeds) < _BULK_SEEDS:
-        return [np.random.default_rng(seed) for seed in seeds]
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in _seed_words(seeds)]
+def _stream(words: np.ndarray) -> RandomStream:
+    """The stream of one row of :func:`_seed_words`, bit-identical to ``np.random.default_rng`` of its seed."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def make_stream(seed: int) -> RandomStream:
     """Create the package's deterministic random stream from a 64-bit seed."""
-    return _make_streams([_check_count("seed", seed, 0, _MAX_SEED)])[0]
+    return np.random.default_rng(_check_count("seed", seed, 0, _MAX_SEED))
 
 
 @dataclass(frozen=True)
@@ -488,12 +476,11 @@ _BLOCK_DRAW_US = 0.047
 # gave the cost per iteration at each R; its growth over R, the part per
 # row-iteration, and the rest, the part per call-iteration. Medians of 9
 # rounds, two runs, on 2 CPUs (Python 3.11, numpy 2.4):
-# - fixed: 104 us per call and 4 us per row (streams, checks, entropy), from
-#   calls of 4 and 64 rows at n = 0, fast and reference, (beta, s) = (3, 3)
-#   and (5, 64): 102 to 111 us per call and 2.9 to 4.4 per row. Most of the
-#   call's part is the seed hash of _make_streams, which builds a call's
-#   streams together; a call of fewer than _BULK_SEEDS rows skips it (a
-#   1-row call took 47 to 51 us), which the prices leave out;
+# - fixed: 31 us per call and 4 us per row (streams from seed words, checks,
+#   entropy), from calls of 4 and 64 rows at n = 0, fast and reference,
+#   (beta, s) = (3, 3) and (5, 64): 27 to 35 us per call and 2.9 to 4.2 per
+#   row; a 1-row call took 31 to 38 us. The seed hash is no part of a call:
+#   a sweep hashes all its seeds once, before it plans (about 50 us);
 # - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
 #   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
 #   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw
@@ -512,7 +499,7 @@ _BLOCK_DRAW_US = 0.047
 #   at (beta, s) = (5, 64) took 9.4 against 11.9 ms). The prices keep their
 #   values: they only schedule work, and the re-fit of every call price is
 #   open in ROADMAP.md (item 4, price check).
-_CALL_US = 104.0
+_CALL_US = 31.0
 _ROW_US = 4.0
 _CALL_ITERATION_US = 6.5
 _REFERENCE_ROW_DRAW_US = 0.15

@@ -16,7 +16,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
-from xml.sax.saxutils import escape
 
 from .core import _MAX_SEED, ProcessParams, _check_count, _check_flag, _check_mode, _check_positive
 from .errors import ConfigError, CsvFormatError, InvalidInputError, UndefinedCorrelationError
@@ -362,9 +361,11 @@ def render_svg_scatter(spec: PlotSpec) -> str:
             f'<circle cx="{px(x_val):.2f}" cy="{py(y_clamped):.2f}" r="2.5" '
             f'fill="{_MARKER_COLOR}" fill-opacity="0.75"/>'
         )
+    # escaped as xml.sax.saxutils.escape escapes it; that module imports urllib.request
+    label = spec.x_label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     out.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(spec.x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">{label}</text>'
     )
     out.append(
         f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '

@@ -16,7 +16,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, repeat
 from multiprocessing.connection import wait
 from typing import Callable, Sequence
 
@@ -31,8 +31,9 @@ from .core import (
     _check_mode,
     _check_positive,
     _kernel,
-    _make_streams,
     _run_rows,
+    _seed_words,
+    _stream,
 )
 from .errors import InvalidParameterError
 from .stats import CorrelationResult, PairedSeries, _entropy_bits_rows, kendall_tau
@@ -160,7 +161,7 @@ class ExperimentSpec:
         return ProcessParams(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One completed run of an experiment."""
 
@@ -237,46 +238,50 @@ def derive_run_seed(master_seed: int, point_index: int, replicate: int) -> int:
     return _splitmix64(_splitmix64(_splitmix64(master_seed) ^ point_index) ^ replicate)
 
 
-def _calls(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int = 1) -> list[tuple[Kernel, list[int]]]:
+def _calls(points: Sequence[ProcessParams], replicates: int, mode: str, workers: int = 1) -> list[tuple[Kernel, np.ndarray]]:
     """Task indices cut into kernel calls, each with the :class:`core.Kernel` its rows share.
 
-    Tasks whose kernel and group key in ``mode`` agree (:func:`core._kernel`)
-    form a group. Each group is cut into the fewest calls that keep to its
-    kernel's row cap and, where a call holds more than one row, to an even
-    share of the modelled work of all groups over ``workers``: a group that
-    holds most of the work is split about ``workers`` ways. Rows are dealt to
-    a group's calls in turn, so calls differ by at most one row and share out
-    costs the model leaves out, such as the multinomial loop's with beta.
+    Point p owns tasks p*replicates to p*replicates + replicates - 1, and
+    points whose kernel and group key in ``mode`` agree (:func:`core._kernel`)
+    form a group of their tasks. Each group is cut into the fewest calls that
+    keep to its kernel's row cap and, where a call holds more than one row, to
+    an even share of the modelled work of all groups over ``workers``: a group
+    that holds most of the work is split about ``workers`` ways. Rows are
+    dealt to a group's calls in turn, so calls differ by at most one row and
+    share out costs the model leaves out, such as the multinomial loop's with beta.
     """
     shapes: dict[tuple, list[int]] = {}
-    for i, (params, _) in enumerate(tasks):
-        shapes.setdefault((params.beta, params.s, params.n), []).append(i)
+    for p, params in enumerate(points):
+        shapes.setdefault((params.beta, params.s, params.n), []).append(p)
     groups: dict[tuple, tuple] = {}
-    for members in shapes.values():  # one pick per shape, not per task
-        kernel = _kernel(tasks[members[0]][0], mode)
+    for members in shapes.values():  # one pick per shape, not per point
+        kernel = _kernel(points[members[0]], mode)
         groups.setdefault((kernel.run, kernel.key), (kernel, []))[1].extend(members)
-    share = sum(kernel.price(len(members)) for kernel, members in groups.values()) / workers
-    calls = []
+    # every group's tasks, group after group, in one pass
+    tasks = np.add.outer(np.array([p for _, members in groups.values() for p in members]) * replicates, np.arange(replicates))
+    share = sum(kernel.price(len(members) * replicates) for kernel, members in groups.values()) / workers
+    calls, start = [], 0
     for kernel, members in groups.values():
-        shares = math.ceil(kernel.price(len(members)) / share)
-        parts = max(-(-len(members) // kernel.max_rows), min(len(members), shares))
-        calls.extend((kernel, members[part::parts]) for part in range(parts))
+        group, start = tasks[start:start + len(members)].reshape(-1), start + len(members)
+        shares = math.ceil(kernel.price(len(group)) / share)
+        parts = max(-(-len(group) // kernel.max_rows), min(len(group), shares))
+        calls.extend((kernel, group[part::parts]) for part in range(parts))
     return calls
 
 
-def _run_calls(calls: list[tuple[Callable, list[ProcessParams], list[int]]]) -> list[float]:
-    """Entropies of the rows of planned kernel calls ``(kernel.run, rows, seeds)``, call after call.
+def _run_calls(calls: list[tuple[Callable, list[ProcessParams], bytes]]) -> list[list[float]]:
+    """Entropies of the rows of planned kernel calls ``(kernel.run, rows, words)``, one list per call.
 
-    Each row draws only from the stream of its own seed, so every entropy
-    equals that of its run alone, ``shannon_entropy_bits(run(params,
-    make_stream(seed), mode))``. The streams (:func:`core._make_streams`),
-    normalization, checks and entropy are made once per call, for all its
-    rows.
+    ``words`` is the bytes of the rows' (R, 4) uint64 seed words
+    (:func:`core._seed_words`): bytes and float lists pickle to and from a
+    pool worker far cheaper than arrays. Each row draws only from the stream
+    of its words (:func:`core._stream`), so every entropy equals that of its
+    run alone, ``shannon_entropy_bits(run(params, make_stream(seed), mode))``.
+    Normalization, checks and entropy are made once per call, for all rows.
     """
     return [
-        entropy
-        for run, rows, seeds in calls
-        for entropy in _entropy_bits_rows(_run_rows(run, rows, _make_streams(seeds))).tolist()
+        _entropy_bits_rows(_run_rows(run, rows, list(map(_stream, np.frombuffer(words, np.uint64).reshape(-1, 4))))).tolist()
+        for run, rows, words in calls
     ]
 
 
@@ -431,33 +436,44 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_tasks(tasks: list[tuple[ProcessParams, int]], mode: str, workers: int) -> list[float]:
+def _run_tasks(points: Sequence[ProcessParams], replicates: int, words: np.ndarray, mode: str, workers: int) -> np.ndarray:
     """Entropy of every task, in task order: the one place a sweep is planned.
 
-    In this process the tasks run as the kernel calls of :func:`_calls`. With
-    more than one worker they are also planned as calls split for
-    ``workers``, cut into the chunks of :func:`_chunk_plan`, which go to a
-    pool if :func:`_pool_size` finds one that beats the unsplit calls.
-    Workers run their chunks' calls as planned. Each task's entropy depends
-    only on the task, so neither plan can change the result. ``workers`` is
-    capped at the usable CPUs, so the plan and the pool never count on more
-    processes than can run at once.
+    Task t runs ``points[t // replicates]`` on the stream of ``words[t]``, its
+    seed words (:func:`core._seed_words`). In this process the tasks run as
+    the kernel calls of :func:`_calls`. With more than one worker they are
+    also planned as calls split for ``workers``, cut into the chunks of
+    :func:`_chunk_plan`, which go to a pool if :func:`_pool_size` finds one
+    that beats the unsplit calls. Workers run their chunks' calls as planned.
+    Each task's entropy depends only on the task, so neither plan can change
+    the result. ``workers`` is capped at the usable CPUs, so the plan and the
+    pool never count on more processes than can run at once.
     """
     workers = min(workers, _usable_cpus())
-    calls = _calls(tasks, mode)
+    calls = _calls(points, replicates, mode)
     chunks, size = [calls], 0
     if workers > 1:
-        split = _calls(tasks, mode, workers)
+        split = _calls(points, replicates, mode, workers)
         costs = [kernel.price(len(call)) for kernel, call in split]
         plan = _chunk_plan(costs)
         bar = sum(kernel.price(len(call)) for kernel, call in calls)
         size = _pool_size(costs, plan, workers, bar, _warm_workers)
         chunks = [[split[c] for c in chunk] for chunk in plan] if size else chunks
-    work = [[(kernel.run, [tasks[i][0] for i in call], [tasks[i][1] for i in call]) for kernel, call in chunk]
-            for chunk in chunks]
+    # the rows and seed words of every call, in plan order, in one pass; each call takes its slice
+    order = np.concatenate([call for chunk in chunks for _, call in chunk])
+    params = np.empty(len(points), dtype=object)
+    params[:] = points
+    rows, words = params[order // replicates].tolist(), words[order]
+    work, start = [], 0
+    for chunk in chunks:
+        work.append([])
+        for kernel, call in chunk:
+            work[-1].append((kernel.run, rows[start:start + len(call)], words[start:start + len(call)].tobytes()))
+            start += len(call)
     results = _pool_map(size, work) if size else map(_run_calls, work)
-    order = [i for chunk in chunks for _, call in chunk for i in call]  # each index once: no entropy is compared
-    return [entropy for _, entropy in sorted(zip(order, chain.from_iterable(results)))]
+    entropies = np.empty(len(order))
+    entropies[order] = list(chain.from_iterable(chain.from_iterable(results)))
+    return entropies
 
 
 def run_experiment(
@@ -470,33 +486,29 @@ def run_experiment(
 
     ``stride`` keeps every stride-th sweep point (the reduced preset uses 4);
     point indices from the full sweep feed the seed derivation, so a strided
-    record list is exactly a subset of the full one. With ``workers`` > 1 the
-    runs are scheduled by their modelled cost (:func:`_run_tasks`), and a
-    pool started for them stays running for later sweeps in this process;
-    pooled sweeps from several threads take turns on it. Output order is
-    (point, replicate) regardless of ``workers``.
+    record list is exactly a subset of the full one. All the seeds are hashed
+    once, here (:func:`core._seed_words`). With ``workers`` > 1 the runs are
+    scheduled by their modelled cost (:func:`_run_tasks`), and a pool started
+    for them stays running for later sweeps in this process; pooled sweeps
+    from several threads take turns on it. Output order is (point, replicate)
+    regardless of ``workers``.
     """
     mode = _check_mode(mode)
     stride = _check_count("stride", stride, 1)
     workers = _check_count("workers", workers, 1)
-    values = log_sweep(spec.sweep)
-    points = range(0, len(values), stride)
-    seeds = _run_seeds(spec.master_seed, points, range(spec.replicates)).tolist()
-
-    tasks = []
-    keys = []
-    for index, point_seeds in zip(points, seeds):
-        value = values[index]
-        params = spec.params_at(value)
-        for replicate, seed in enumerate(point_seeds):
-            keys.append((value, replicate, seed))
-            tasks.append((params, seed))
-
-    entropies = _run_tasks(tasks, mode, workers)
-    return [
-        RunRecord(spec.name, float(value), replicate, seed, entropy)
-        for (value, replicate, seed), entropy in zip(keys, entropies)
-    ]
+    values = log_sweep(spec.sweep)[::stride]
+    replicates = spec.replicates
+    seeds = _run_seeds(spec.master_seed, range(0, spec.sweep.steps, stride), range(replicates)).reshape(-1)
+    points = [spec.params_at(value) for value in values]
+    entropies = _run_tasks(points, replicates, _seed_words(seeds), mode, workers)
+    return list(map(
+        RunRecord,
+        repeat(spec.name),
+        chain.from_iterable(repeat(float(value), replicates) for value in values),
+        chain.from_iterable(repeat(range(replicates), len(values))),
+        seeds.tolist(),
+        entropies.tolist(),
+    ))
 
 
 # x axis per swept hyperparameter: (label, map from swept value to x). Alpha

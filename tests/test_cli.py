@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from filex import cli
 from filex.cli import main
 from filex.report import (
     correlation_table_from_rows,
@@ -29,6 +34,14 @@ SWEEP_ALPHA = (
     "name = a\nvaried = alpha\nlow = 1e-3\nhigh = 0.1\nsteps = 40\n"
     "beta = 2\ns = 8\nn = 20\nmaster_seed = 3\n"
 )
+
+
+def test_cli_import_loads_no_network_modules():
+    # urllib.request pulls in http.client, ssl and email: tens of milliseconds per filex process
+    code = "import sys, filex.cli\nloaded = {'urllib.request', 'ssl'} & set(sys.modules)\nassert not loaded, loaded\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 class TestCmdRun:

@@ -30,10 +30,11 @@ from filex.core import (
     _inverse_cdf,
     _inverse_cdf_counts,
     _kernel,
-    _make_streams,
     _multinomial_rows,
     _reference_rows,
     _run_rows,
+    _seed_words,
+    _stream,
     init_weights,
     make_stream,
     run,
@@ -107,10 +108,10 @@ def test_make_stream_rejects_seed(seed):
         make_stream(seed)
 
 
-def assert_default_rng_streams(streams, seeds):
+def assert_default_rng_streams(built, seeds):
     """Each stream has the state of ``np.random.default_rng(seed)``, the reference, and its first 8 doubles."""
-    assert len(streams) == len(seeds)
-    for stream, seed in zip(streams, seeds):
+    assert len(built) == len(seeds)
+    for stream, seed in zip(built, seeds):
         reference = np.random.default_rng(seed)
         assert stream.bit_generator.state == reference.bit_generator.state, seed
         assert stream.random(8).tolist() == reference.random(8).tolist(), seed
@@ -119,9 +120,14 @@ def assert_default_rng_streams(streams, seeds):
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
+def streams(seeds):
+    """The streams a sweep builds for ``seeds``: one hash of all of them, then each row's stream from its words."""
+    return [_stream(words) for words in _seed_words(seeds)]
+
+
 class TestMakeStreams:
     def test_edge_seeds(self):
-        assert_default_rng_streams(_make_streams(EDGE_SEEDS), EDGE_SEEDS)
+        assert_default_rng_streams(streams(EDGE_SEEDS), EDGE_SEEDS)
         assert_default_rng_streams([make_stream(seed) for seed in EDGE_SEEDS], EDGE_SEEDS)
 
     @pytest.mark.parametrize("batch", [1, 2, 10_000])
@@ -130,20 +136,19 @@ class TestMakeStreams:
         rng = np.random.default_rng(17)
         seeds = (rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False)
                  >> rng.integers(0, 64, 10_000).astype(np.uint64)).tolist()
-        streams = [stream for i in range(0, len(seeds), batch) for stream in _make_streams(seeds[i : i + batch])]
-        assert_default_rng_streams(streams, seeds)
+        assert_default_rng_streams([stream for i in range(0, len(seeds), batch) for stream in streams(seeds[i : i + batch])], seeds)
 
     @pytest.mark.parametrize("batch", [1, 2, 3])
-    def test_bulk_hash_of_small_batches(self, monkeypatch, batch):
-        # batches below core._BULK_SEEDS are built by default_rng; the hash must hold for them too
-        monkeypatch.setattr(core, "_BULK_SEEDS", 1)
+    def test_bulk_hash_of_small_batches(self, batch):
+        # a batch of one to three seeds hashes as a batch of many does
         seeds = EDGE_SEEDS + [12_345, 2**31]
-        streams = [stream for i in range(0, len(seeds), batch) for stream in _make_streams(seeds[i : i + batch])]
-        assert_default_rng_streams(streams, seeds)
+        assert_default_rng_streams([stream for i in range(0, len(seeds), batch) for stream in streams(seeds[i : i + batch])], seeds)
 
     def test_batch_mixing_seeds_below_and_above_2_32(self):
         seeds = [3, 2**40 + 7, 2**32 - 1, 2**32, 0, 2**64 - 1, 12_345, 2**32 + 1, 2**31]
-        assert_default_rng_streams(_make_streams(seeds), seeds)
+        assert_default_rng_streams(streams(seeds), seeds)
+        # a sweep hands the hash its seeds as a uint64 array
+        assert np.array_equal(_seed_words(np.array(seeds, dtype=np.uint64)), _seed_words(seeds))
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), True, "2"])
@@ -504,8 +509,8 @@ def test_block_rows_equal_row_by_row_oracle(alphas, beta, s, n, block_iterations
     """Every row of a call, each on its own stream, equals the row-by-row loop bit for bit: a run alone."""
     rows = [ProcessParams(alpha, beta, s, n) for alpha in alphas]
     seeds = range(7000, 7000 + len(rows))
-    expected = block_copy_rows(alphas, beta, s, n, _make_streams(seeds), block_iterations or max(1, _BLOCK_DRAWS // beta))
-    assert np.array_equal(_block_rows(rows, _make_streams(seeds), block_iterations), expected)
+    expected = block_copy_rows(alphas, beta, s, n, streams(seeds), block_iterations or max(1, _BLOCK_DRAWS // beta))
+    assert np.array_equal(_block_rows(rows, streams(seeds), block_iterations), expected)
 
 
 # Symbol 0's final hit count at sweep sizes, one point per kernel: (mode,
@@ -537,7 +542,7 @@ def sweep_size_probs(mode, kernel, point, runs, first_seed) -> np.ndarray:
     assert planned.run is kernel
     seeds = range(first_seed, first_seed + runs)
     return np.concatenate([
-        _run_rows(kernel, [params] * len(chunk), _make_streams(chunk))
+        _run_rows(kernel, [params] * len(chunk), streams(chunk))
         for chunk in (seeds[i:i + planned.max_rows] for i in range(0, runs, planned.max_rows))
     ])
 

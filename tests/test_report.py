@@ -356,6 +356,14 @@ class TestSvg:
         assert spec.points == [(100.0, 3.5), (10.0, 2.5)]
         assert spec.y_max == 4.0
 
+    @pytest.mark.parametrize("label", ["1/alpha", "beta", "S", "N", "a<b & c>d", "&amp; \"q\" 'q'"])
+    def test_x_label_escaped_as_saxutils_escapes_it(self, label):
+        from xml.sax.saxutils import escape
+
+        svg = render_svg_scatter(PlotSpec(points=[(1.0, 1.0)], x_label=label))
+        assert f'font-size="13">{escape(label)}</text>' in svg
+        assert label in [e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
+
     def test_log_ticks_present(self):
         points = [(1.0, 1.0), (1000.0, 2.0)]
         svg = render_svg_scatter(PlotSpec(points=points, x_label="N", y_max=6.0))

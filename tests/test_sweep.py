@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from filex.core import (
     _block_rows,
     _kernel,
     _multinomial_rows,
+    _seed_words,
     init_weights,
     make_stream,
     run,
@@ -347,11 +350,15 @@ class TestEntropyChunk:
             min_size=1,
             max_size=12,
         ),
+        st.sampled_from([1, 3]),
         st.sampled_from(["reference", "fast"]),
     )
-    def test_property_rows_equal_runs_alone(self, drawn, mode):
-        tasks = [(ProcessParams(alpha, beta, s, n), seed) for (beta, s, n), alpha, seed in drawn]
-        assert sweep._run_tasks(tasks, mode, 1) == [entropy_alone(*task, mode) for task in tasks]
+    def test_property_rows_equal_runs_alone(self, drawn, replicates, mode):
+        # replicate r of a point drawn with seed x runs on seed x + r (mod 2**64)
+        points = [ProcessParams(alpha, beta, s, n) for (beta, s, n), alpha, _ in drawn]
+        seeds = [(seed + r) & MASK64 for _, _, seed in drawn for r in range(replicates)]
+        entropies = sweep._run_tasks(points, replicates, _seed_words(seeds), mode, 1)
+        assert entropies.tolist() == [entropy_alone(points[t // replicates], seed, mode) for t, seed in enumerate(seeds)]
 
     def test_every_kernel_covered(self):
         kernels = [_kernel(ProcessParams(1.0, beta, s, n), "fast") for beta, s, n in CHUNK_SHAPES]
@@ -363,24 +370,39 @@ class TestEntropyChunk:
         assert sorted(map(len, betas.values())) == [2, 2]
 
     def test_groups_cut_into_calls_keep_entropies(self, monkeypatch):
-        tasks = [
-            (ProcessParams(alpha, beta, s, n), seed)
-            for seed, ((beta, s, n), alpha) in enumerate(zip(CHUNK_SHAPES * 4, CHUNK_ALPHAS * 8))
-        ]
-        whole = {mode: sweep._run_tasks(tasks, mode, 1) for mode in ("reference", "fast")}
+        # 32 points, each shape with 4 alphas; task t runs on seed t
+        points = [ProcessParams(alpha, beta, s, n) for (beta, s, n), alpha in zip(CHUNK_SHAPES * 4, CHUNK_ALPHAS * 8)]
+
+        def entropies(replicates):
+            words = _seed_words(range(len(points) * replicates))
+            return {mode: sweep._run_tasks(points, replicates, words, mode, 1).tolist() for mode in ("reference", "fast")}
+
+        whole = {replicates: entropies(replicates) for replicates in (1, 3)}
+        for replicates, by_mode in whole.items():
+            for mode, found in by_mode.items():
+                assert found == [entropy_alone(points[t // replicates], t, mode) for t in range(len(found))]
         calls = []
         real = sweep._run_rows
         monkeypatch.setattr(sweep, "_run_rows", lambda kernel, rows, rngs: calls.append(len(rows)) or real(kernel, rows, rngs))
-        assert {mode: sweep._run_tasks(tasks, mode, 1) for mode in whole} == whole
+        assert entropies(1) == whole[1]
         # groups of 4 tasks, but the fast groups at (s, n) = (2, 3) and (5, 12) mix two betas
         # each, and a reference row at beta 2100 fills a call
         assert sorted(calls) == [1] * 4 + [4] * 11 + [8] * 2
         calls.clear()
+        # with 3 replicates a group holds 3 tasks per point; the reference row caps cut the
+        # groups at beta 1000 (cap 4) and 700 (cap 5) into 3 calls of 4
+        assert entropies(3) == whole[3]
+        assert sorted(calls) == [1] * 12 + [4] * 6 + [12] * 9 + [24] * 2
+        calls.clear()
         # a row holds s + beta numbers in the reference loop, s in the others: reference calls of
         # one row at beta 2100, two at beta 1000 and 700, while every fast group stays whole
         monkeypatch.setattr(core, "_ROW_NUMBERS", 2200)
-        assert {mode: sweep._run_tasks(tasks, mode, 1) for mode in whole} == whole
+        assert entropies(1) == whole[1]
         assert sorted(calls) == [1] * 4 + [2] * 4 + [4] * 9 + [8] * 2
+        calls.clear()
+        # and with 3 replicates, caps of 1, 2, 3 and 11 rows at beta 2100, 1000, 700 and 187
+        assert entropies(3) == whole[3]
+        assert sorted(calls) == [1] * 12 + [2] * 6 + [3] * 4 + [6] * 2 + [12] * 8 + [24] * 2
 
 
 class TestRunExperiment:
@@ -433,6 +455,36 @@ class TestRunExperiment:
         assert len(records) == 8
 
 
+class TestRunRecord:
+    """The slotted record keeps the frozen-dataclass behaviour callers rely on."""
+
+    def test_equality_and_hash(self):
+        record = run_experiment(tiny_spec())[3]
+        same = RunRecord(*(getattr(record, field.name) for field in dataclasses.fields(RunRecord)))
+        assert same == record and hash(same) == hash(record)
+        assert replace(record, seed=record.seed + 1) != record
+        assert len({record, same}) == 1
+
+    def test_pickle_round_trip(self):
+        record = run_experiment(tiny_spec())[3]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+
+    def test_replace(self):
+        record = run_experiment(tiny_spec())[3]
+        changed = replace(record, replicate=7, entropy_bits=0.5)
+        assert (changed.replicate, changed.entropy_bits) == (7, 0.5)
+        assert (changed.experiment, changed.param_value, changed.seed) == (record.experiment, record.param_value, record.seed)
+
+    def test_assignment_raises(self):
+        record = run_experiment(tiny_spec())[3]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.entropy_bits = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.seed
+        assert not hasattr(record, "__dict__")  # slotted: vars(record) no longer works
+
+
 def skewed_spec():
     # n from 1e2 to 1e5: calls modelled from about 0.3 ms to 98 ms per group of
     # 3 runs, 131 ms in all, enough for a pool of up to 7 workers to pay its start-up
@@ -458,14 +510,14 @@ def n_sweep_spec():
     )
 
 
-def spec_tasks(spec, stride=1):
-    """The (params, seed) tasks of ``spec``, with seed 0: plans do not read seeds."""
-    return [(spec.params_at(v), 0) for v in log_sweep(spec.sweep)[::stride] for _ in range(spec.replicates)]
+def spec_points(spec, stride=1):
+    """The kept points of ``spec`` and its replicate count, as :func:`sweep._calls` plans them."""
+    return [spec.params_at(v) for v in log_sweep(spec.sweep)[::stride]], spec.replicates
 
 
 def call_costs(spec, workers, mode="fast", stride=1):
     """Modelled prices of the kernel calls :func:`sweep._calls` plans for ``spec``, ``mode`` and ``workers``."""
-    return [kernel.price(len(call)) for kernel, call in sweep._calls(spec_tasks(spec, stride), mode, workers)]
+    return [kernel.price(len(call)) for kernel, call in sweep._calls(*spec_points(spec, stride), mode, workers)]
 
 
 def pool_size(spec, workers, mode="fast", stride=1, warm=0):
@@ -524,22 +576,22 @@ class TestSchedule:
             st.tuples(
                 st.sampled_from(CHUNK_SHAPES + [(5, 64, 1000), (10, 64, 1000), (300, 64, 1000)]),
                 st.sampled_from(CHUNK_ALPHAS),
-                st.integers(min_value=1, max_value=60),
             ),
             min_size=1,
             max_size=10,
         ),
+        st.integers(min_value=1, max_value=60),
         st.sampled_from(["reference", "fast"]),
         st.integers(min_value=1, max_value=8),
         st.sampled_from([1 << 12, 64, 8]),
     )
-    def test_property_calls_cover_each_task_once_within_key_and_cap(self, drawn, mode, workers, row_numbers):
-        tasks = [(ProcessParams(alpha, beta, s, n), 0) for (beta, s, n), alpha, count in drawn for _ in range(count)]
+    def test_property_calls_cover_each_task_once_within_key_and_cap(self, drawn, replicates, mode, workers, row_numbers):
+        points = [ProcessParams(alpha, beta, s, n) for (beta, s, n), alpha in drawn]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "_ROW_NUMBERS", row_numbers)
-            calls = sweep._calls(tasks, mode, workers)
-            kernels = [_kernel(params, mode) for params, _ in tasks]
-        assert sorted(i for _, call in calls for i in call) == list(range(len(tasks)))
+            calls = sweep._calls(points, replicates, mode, workers)
+            kernels = [_kernel(params, mode) for params in points for _ in range(replicates)]
+        assert sorted(i for _, call in calls for i in call) == list(range(len(kernels)))
         groups = {}
         for kernel, call in calls:
             # one kernel, key, price and cap per call, the one each of its tasks takes
@@ -578,7 +630,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("workers", [16, 64])
     def test_split_calls_do_not_buy_a_pool(self, pool_starts, monkeypatch, cpus, workers):
-        # split 16 or 50 ways, its 50 runs are priced at 213 or 437 ms, against 114 ms for the one
+        # split 16 or 50 ways, its 50 runs are priced at 212 or 434 ms, against 114 ms for the one
         # call that runs when no pool starts: the split's extra calls must not pay for a pool
         cpus(workers)
         spec = canonical_experiments(1)[0]
@@ -600,10 +652,27 @@ class TestSchedule:
         assert len(planned) == plans
         assert pool_starts == pools
 
+    @pytest.mark.parametrize("workers,pools", [(1, []), (2, [2])])
+    def test_seeds_hashed_once_in_the_parent(self, pool_starts, monkeypatch, workers, pools):
+        # one hash of all the sweep's seeds; the inline pool runs each chunk in this process, so
+        # a hash in a worker would count here too
+        hashed = []
+
+        def count(seeds):
+            hashed.append(len(seeds))
+            return real(seeds)
+
+        real = core._seed_words
+        monkeypatch.setattr(sweep, "_seed_words", count)
+        monkeypatch.setattr(core, "_seed_words", count)
+        records = run_experiment(n_sweep_spec(), workers=workers)
+        assert hashed == [len(records)]
+        assert pool_starts == pools
+
     def test_one_worker_per_chunk_at_most(self, pool_starts, monkeypatch, cpus):
         cpus(64)
         spec = skewed_spec()
-        split = sweep._calls(spec_tasks(spec), "fast", 64)
+        split = sweep._calls(*spec_points(spec), "fast", 64)
         plan = sweep._chunk_plan([kernel.price(len(call)) for kernel, call in split])
         serial = run_experiment(spec, workers=1)
         calls = []
@@ -617,7 +686,7 @@ class TestSchedule:
     def test_pool_never_outnumbers_the_cpus(self, pool_starts, monkeypatch):
         # 64 workers on the fixture's 2 CPUs plan, price and pool as 2 workers do
         spec = skewed_spec()
-        split = sweep._calls(spec_tasks(spec), "fast", 2)
+        split = sweep._calls(*spec_points(spec), "fast", 2)
         plan = sweep._chunk_plan([kernel.price(len(call)) for kernel, call in split])
         serial = run_experiment(spec, workers=1)
         calls = []
