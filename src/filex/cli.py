@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import report
@@ -21,6 +22,7 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filex",

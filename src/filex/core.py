@@ -30,7 +30,7 @@ from .errors import InvalidInputError, InvalidParameterError
 # seeds it, so the same 64-bit seed always reproduces the same variate
 # sequence, bit for bit that of np.random.default_rng(seed). A sweep hashes
 # all its seeds at once (:func:`_seed_words`) and builds each row's stream
-# from its words (:func:`_stream`).
+# from its words (:func:`_streams`).
 RandomStream = np.random.Generator
 
 _MAX_SEED = 2**64
@@ -85,16 +85,22 @@ def _check_positive_array(name: str, values) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
         raise InvalidInputError(f"{name} must be a non-empty 1-d array")
-    if not (a.min() > 0.0 and a.max() < math.inf):
+    if not (np.minimum.reduce(a) > 0.0 and np.maximum.reduce(a) < math.inf):
         raise InvalidInputError(f"{name} must all be positive and finite")
     return a
 
 
 def _check_sums(probs: np.ndarray) -> None:
-    """Raise unless every row of the 2-d ``probs`` sums to 1 within 1e-12."""
-    for total in np.add.reduce(probs, axis=1).tolist():
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {total!r}")
+    """Raise unless every row of the 2-d, non-empty ``probs`` sums to 1 within 1e-12, naming the first total that does not.
+
+    One comparison tests all rows; ``fmax`` passes over a NaN total, as the
+    comparison of NaN with the tolerance does.
+    """
+    totals = np.add.reduce(probs, axis=1)
+    if np.fmax.reduce(np.abs(totals - 1.0)) > 1e-12:
+        for total in totals.tolist():
+            if abs(total - 1.0) > 1e-12:
+                raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {total!r}")
 
 
 def _hash_chain(init: int, multiplier: int, hashes: int) -> np.ndarray:
@@ -146,7 +152,7 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     below 2**32 as the one word [low] and fills the unused pool words with
     the hash of 0, so (low, 0) gives the same pool.
     """
-    seeds = np.array(seeds, dtype=np.uint64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
     pool[0] = seeds & 0xFFFFFFFF
     pool[1] = seeds >> 32
@@ -161,18 +167,23 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
 
 
 class _SeedWords(ISeedSequence):
-    """The seed words :func:`_seed_words` computed for one stream, as the seed sequence PCG64 asks for."""
+    """The seed words of a call's rows (:func:`_seed_words`), handed out in turn: each PCG64 built from it asks once, for its 4."""
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self.rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words  # PCG64 asks for 4 uint64 words
+        return next(self.rows)
 
 
-def _stream(words: np.ndarray) -> RandomStream:
-    """The stream of one row of :func:`_seed_words`, bit-identical to ``np.random.default_rng`` of its seed."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+def _streams(words: np.ndarray) -> list[RandomStream]:
+    """The stream of each row of :func:`_seed_words`, each bit-identical to ``np.random.default_rng`` of its seed.
+
+    All the PCG64s share one seed sequence that hands each its row, which
+    spares an object and a Python call per stream.
+    """
+    rows, generator, pcg64 = _SeedWords(words), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(rows)) for _ in range(len(words))]
 
 
 def make_stream(seed: int) -> RandomStream:
@@ -220,7 +231,19 @@ class WeightState:
 
     @property
     def total(self) -> float:
-        return float(self.weights.sum())
+        return float(np.add.reduce(self.weights))
+
+
+def _next_state(weights: np.ndarray, iteration: int) -> WeightState:
+    """The state a step returns, without the constructor's re-check.
+
+    A step adds non-negative finite increments to the positive finite
+    weights of a checked state, so its weights pass the check by
+    construction, and its iteration is a checked count plus one.
+    """
+    state = object.__new__(WeightState)
+    state.__dict__.update(weights=weights, iteration=iteration)
+    return state
 
 
 @dataclass(frozen=True)
@@ -306,12 +329,12 @@ def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream],
     would, so every draw sees the same distribution, and ``np.add.at`` applies
     the increments one at a time in each row's draw order, the arithmetic of
     a per-draw loop: row r equals folding :func:`step` from its initial
-    weights. Each row draws its variates a block of iterations at a time (one
-    ``rng.random(k*beta)`` gives the doubles of k calls of
-    ``rng.random(beta)``), about ``_BLOCK_DRAWS`` variates over all rows per
-    block and never more than one iteration's R*beta beyond that. ``sink``,
-    if given, receives each iteration's drawn flat indices ``r*s + idx``,
-    row by row.
+    weights. Each row draws its variates a block of iterations at a time, into
+    its row of one buffer (``rng.random(out=...)`` of k*beta doubles gives
+    the doubles of k calls of ``rng.random(beta)``), about ``_BLOCK_DRAWS``
+    variates over all rows per block and never more than one iteration's
+    R*beta beyond that. ``sink``, if given, receives each iteration's drawn
+    flat indices ``r*s + idx``, row by row.
     """
     beta, s, n = rows[0].beta, rows[0].s, rows[0].n
     w = _initial_weights(rows)
@@ -329,7 +352,10 @@ def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream],
     block = max(1, _BLOCK_DRAWS // (beta * len(rows)))
     for a in range(0, n, block):
         size = min(block, n - a)
-        u = np.array([rng.random(size * beta) for rng in rngs]).reshape(len(rows), size, beta)
+        u = np.empty((len(rows), size * beta))
+        for rng, row_u in zip(rngs, u):
+            rng.random(out=row_u)
+        u = u.reshape(len(rows), size, beta)
         for j in range(size):
             np.add.accumulate(w, axis=1, out=cdf)
             np.multiply(u[:, j], total, out=target_values)
@@ -359,13 +385,14 @@ def _multinomial_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream
     w = _initial_weights(rows)
     probs = np.empty_like(w)
     counts = np.empty_like(w)
-    betas = np.array([[row.beta] for row in rows], dtype=np.float64)
-    draws = list(zip(rngs, [row.beta for row in rows], probs, counts))  # each row's stream, beta and views
+    betas = [row.beta for row in rows]
+    scale = np.array(betas, dtype=np.float64)[:, None]
+    draws = list(zip(rngs, betas, probs, counts))  # each row's stream, beta and views
     for _ in range(n):
         np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=probs)
         for rng, beta, p, row_counts in draws:
             row_counts[...] = rng.multinomial(beta, p)
-        np.divide(counts, betas, out=counts)
+        np.divide(counts, scale, out=counts)
         np.add(w, counts, out=w)
     return w
 
@@ -480,7 +507,14 @@ _BLOCK_DRAW_US = 0.047
 #   entropy), from calls of 4 and 64 rows at n = 0, fast and reference,
 #   (beta, s) = (3, 3) and (5, 64): 27 to 35 us per call and 2.9 to 4.2 per
 #   row; a 1-row call took 31 to 38 us. The seed hash is no part of a call:
-#   a sweep hashes all its seeds once, before it plans (about 50 us);
+#   a sweep hashes all its seeds once, before it plans (about 50 us). Since
+#   a call's streams share one seed sequence and its sum check takes one
+#   pass, the same method, medians of 9 rounds, reads 34 to 39 us per call
+#   and 2.2 to 3.1 us per row (a 1-row call 33 to 38 us), where streams
+#   built one object each and a row-by-row sum check read 32 to 36 us and
+#   3.2 to 4.6 us in interleaved runs on the same host (2 CPUs, Python
+#   3.11, numpy 2.4). The row price keeps its 4 us, as every price below
+#   keeps its value until the re-fit;
 # - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
 #   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
 #   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw
@@ -570,7 +604,7 @@ def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
     idx = _inverse_cdf(state.weights, rng.random(beta))
     weights = state.weights.copy()
     np.add.at(weights, idx, 1.0 / beta)
-    return WeightState(weights, state.iteration + 1)
+    return _next_state(weights, state.iteration + 1)
 
 
 def step_fast(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
@@ -580,8 +614,8 @@ def step_fast(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
     """
     beta = _check_count("beta", beta, 1)
     weights = state.weights
-    counts = rng.multinomial(beta, weights / weights.sum())
-    return WeightState(weights + counts / beta, state.iteration + 1)
+    counts = rng.multinomial(beta, weights / np.add.reduce(weights))
+    return _next_state(weights + counts / beta, state.iteration + 1)
 
 
 def _normalize(weights: np.ndarray) -> np.ndarray:

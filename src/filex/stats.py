@@ -87,7 +87,7 @@ def _entropy_bits_rows(probs: np.ndarray) -> np.ndarray:
     Row-wise products and sums along axis 1 round exactly as on each row
     alone, so a row's entropy does not depend on the rows beside it.
     """
-    h = -(probs * np.log2(probs)).sum(axis=1)
+    h = -np.add.reduce(probs * np.log2(probs), axis=1)
     # A probability can sit one ulp above 1 after normalization; clamp the
     # resulting -1e-16-ish entropy (or a degenerate -0.0) to the bound.
     return np.where(h <= 0.0, 0.0, h)

@@ -10,15 +10,11 @@ not depend on worker count or scheduling.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
-from multiprocessing.connection import wait
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -33,10 +29,13 @@ from .core import (
     _kernel,
     _run_rows,
     _seed_words,
-    _stream,
+    _streams,
 )
 from .errors import InvalidParameterError
 from .stats import CorrelationResult, PairedSeries, _entropy_bits_rows, kendall_tau
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 VARIED_NAMES = tuple(f.name for f in fields(ProcessParams))
 
@@ -161,7 +160,7 @@ class ExperimentSpec:
         return ProcessParams(**values)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RunRecord:
     """One completed run of an experiment."""
 
@@ -170,6 +169,21 @@ class RunRecord:
     replicate: int
     seed: int
     entropy_bits: float
+
+    def __init__(self, experiment: str, param_value: float, replicate: int, seed: int, entropy_bits: float):
+        # The generated __init__ of a frozen class sets each field through
+        # object.__setattr__, which looks the slot up by name; the slots' own
+        # setters skip that lookup.
+        _set_experiment(self, experiment)
+        _set_param_value(self, param_value)
+        _set_replicate(self, replicate)
+        _set_seed(self, seed)
+        _set_entropy_bits(self, entropy_bits)
+
+
+_set_experiment, _set_param_value, _set_replicate, _set_seed, _set_entropy_bits = (
+    RunRecord.__dict__[f.name].__set__ for f in fields(RunRecord)
+)
 
 
 def canonical_experiments(master_seed: int) -> list[ExperimentSpec]:
@@ -275,12 +289,12 @@ def _run_calls(calls: list[tuple[Callable, list[ProcessParams], bytes]]) -> list
     ``words`` is the bytes of the rows' (R, 4) uint64 seed words
     (:func:`core._seed_words`): bytes and float lists pickle to and from a
     pool worker far cheaper than arrays. Each row draws only from the stream
-    of its words (:func:`core._stream`), so every entropy equals that of its
+    of its words (:func:`core._streams`), so every entropy equals that of its
     run alone, ``shannon_entropy_bits(run(params, make_stream(seed), mode))``.
     Normalization, checks and entropy are made once per call, for all rows.
     """
     return [
-        _entropy_bits_rows(_run_rows(run, rows, list(map(_stream, np.frombuffer(words, np.uint64).reshape(-1, 4))))).tolist()
+        _entropy_bits_rows(_run_rows(run, rows, _streams(np.frombuffer(words, np.uint64).reshape(-1, 4)))).tolist()
         for run, rows, words in calls
     ]
 
@@ -330,6 +344,8 @@ _POOL_SWEEP_US = 700.0
 
 def _start_method() -> str:
     """The start method a pool started now would give its workers, read without fixing this process's."""
+    import multiprocessing
+
     return multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
 
 
@@ -355,7 +371,9 @@ def _pool_size(costs: Sequence[float], plan: list[list[int]], workers: int, bar:
 
 # This process's pool, kept running for later sweeps, its worker count, and
 # the lock a sweep holds from taking the pool until its chunks are back, so a
-# sweep in another thread cannot replace the pool under it.
+# sweep in another thread cannot replace the pool under it. The pool modules
+# are imported only where a pool is priced, started or watched, so a process
+# that never pools does not load them.
 _warm_pool: ProcessPoolExecutor | None = None
 _warm_workers = 0
 _pool_lock = threading.Lock()
@@ -369,6 +387,8 @@ def _pool(size: int) -> ProcessPoolExecutor:
     """
     global _warm_pool, _warm_workers
     if _warm_workers < size:
+        from concurrent.futures import ProcessPoolExecutor
+
         _close_pool()
         _warm_pool = ProcessPoolExecutor(size, initializer=_exit_with_parent)
         _warm_workers = size
@@ -404,6 +424,9 @@ def _exit_with_parent() -> None:
     SIGKILL skips the exit hook that shuts the pool down, so without this
     the workers would outlive the pool's process.
     """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     parent, sentinel = os.getppid(), multiprocessing.parent_process().sentinel
 
     def watch():
@@ -421,6 +444,8 @@ def _pool_map(size: int, work: list) -> list:
     a worker died, is replaced and the chunks run once more on the new one;
     a second break is raised.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     with _pool_lock:
         for attempt in range(2):
             try:
@@ -472,7 +497,7 @@ def _run_tasks(points: Sequence[ProcessParams], replicates: int, words: np.ndarr
             start += len(call)
     results = _pool_map(size, work) if size else map(_run_calls, work)
     entropies = np.empty(len(order))
-    entropies[order] = list(chain.from_iterable(chain.from_iterable(results)))
+    entropies[order] = np.fromiter(chain.from_iterable(chain.from_iterable(results)), np.float64, len(order))
     return entropies
 
 

@@ -44,6 +44,39 @@ def test_cli_import_loads_no_network_modules():
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
+def test_import_loads_no_pool_modules():
+    # a sweep imports multiprocessing and concurrent.futures only when it prices, starts or watches a pool
+    code = ("import sys, filex\nloaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_one_process_runs_commands_after_a_usage_error(tmp_path, capsys):
+    # the parser is built once per process and left as it was by each parse
+    cfg = write(tmp_path / "exp.cfg", SWEEP_MINI)
+    csv, svg = tmp_path / "mini.csv", tmp_path / "mini.svg"
+    assert main(["sweep", "--config", cfg, "--out", str(csv)]) == 0
+    capsys.readouterr()
+    codes, outputs = [], []
+    for argv in (["no-such-command"], ["table", str(csv)], ["plot", str(csv), "--out", str(svg)], ["table"]):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        outputs.append(capsys.readouterr())
+    assert codes == [2, 0, 0, 2]
+    assert outputs[0].out == "" and outputs[0].err.startswith("usage: filex ")
+    assert "invalid choice: 'no-such-command'" in outputs[0].err
+    rows = read_records_csv(str(csv))
+    assert outputs[1] == (render_correlation_table(correlation_table_from_rows(rows)), "")
+    assert outputs[2] == (f"wrote {svg}\n", "")
+    assert svg.read_text(encoding="utf-8") == render_svg_scatter(plot_spec_from_rows(rows))
+    assert outputs[3].err.startswith("usage: filex table ") and "required: csv" in outputs[3].err
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestCmdRun:
     def test_uniform_entropy(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", RUN_UNIFORM)

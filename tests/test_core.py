@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -34,7 +35,7 @@ from filex.core import (
     _reference_rows,
     _run_rows,
     _seed_words,
-    _stream,
+    _streams,
     init_weights,
     make_stream,
     run,
@@ -122,7 +123,7 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 def streams(seeds):
     """The streams a sweep builds for ``seeds``: one hash of all of them, then each row's stream from its words."""
-    return [_stream(words) for words in _seed_words(seeds)]
+    return _streams(_seed_words(seeds))
 
 
 class TestMakeStreams:
@@ -186,6 +187,23 @@ class TestDistributionAndState:
         with pytest.raises(InvalidInputError):
             WeightState(np.array([1.0, 0.0]), 0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_caller_built_state_is_checked(self, bad):
+        # steps skip the re-check of the states they return; a state a caller builds is still checked
+        with pytest.raises(InvalidInputError, match="weights must all be positive and finite"):
+            WeightState(np.array([1.0, bad, 2.0]), 3)
+
+    def test_sum_check_names_the_bad_row(self):
+        # one pass tests every row; the error names the first bad row's total, as the row-by-row check did
+        probs = np.full((500, 4), 0.25)
+        probs[250, 0] += 2e-12
+        total = float(probs[250].sum())
+        assert abs(total - 1.0) > 1e-12
+        with pytest.raises(InvalidInputError) as excinfo:
+            core._check_sums(probs)
+        assert str(excinfo.value) == f"probs must sum to 1 within 1e-12, got {total!r}"
+        core._check_sums(np.delete(probs, 250, axis=0))
+
 
 class TestSampleCategorical:
     """The reference sampler's inverse-CDF primitive."""
@@ -209,8 +227,9 @@ class TestSampleCategorical:
     def test_u_one_clamped_in_every_row(self):
         # the reference kernel clamps each row's u = 1 draws to that row's last symbol
         class ClosedEnd:
-            def random(self, size):
-                return np.ones(size)
+            def random(self, out):
+                out.fill(1.0)
+                return out
 
         rows = [ProcessParams(alpha, 2, 3, 4) for alpha in (1.0, 3.0)]
         w = _reference_rows(rows, [ClosedEnd(), ClosedEnd()])
@@ -321,6 +340,47 @@ class TestStepFast:
             key = tuple(int(round(v)) for v in (new.weights - state.weights) * 2)
             observed[key] = observed.get(key, 0) + 1
         assert chi2_gof_pvalue(observed, expected, trials) > 0.01
+
+
+def checked_step(state, beta, rng):
+    """One reference step written out, its state built through the checked constructor."""
+    weights = state.weights.copy()
+    np.add.at(weights, _inverse_cdf(state.weights, rng.random(beta)), 1.0 / beta)
+    return WeightState(weights, state.iteration + 1)
+
+
+def checked_step_fast(state, beta, rng):
+    """One multinomial step written out, its state built through the checked constructor."""
+    weights = state.weights
+    return WeightState(weights + rng.multinomial(beta, weights / weights.sum()) / beta, state.iteration + 1)
+
+
+# Cases of criterion 2's ranges (alpha in [1e-4, 1e2], beta in [1, 64], s in
+# [1, 256]) with s = 1 and beta = 1 among them: (alpha, beta, s, n, seed).
+STEP_CASES = [
+    (2.0, 1, 1, 40, 1),
+    (1e-4, 1, 64, 200, 2),
+    (37.5, 64, 1, 30, 3),
+    (0.3, 7, 256, 120, 4),
+    (1.0, 1, 2, 300, 5),
+    (99.0, 33, 17, 80, 6),
+]
+
+
+@pytest.mark.parametrize("stepper, oracle", [(step, checked_step), (step_fast, checked_step_fast)], ids=["step", "step_fast"])
+@pytest.mark.parametrize("alpha, beta, s, n, seed", STEP_CASES)
+def test_steps_equal_a_checked_fold(stepper, oracle, alpha, beta, s, n, seed):
+    # a step returns its state without the constructor's re-check: every state of
+    # the fold equals, bit for bit, the one the checked constructor builds
+    state = checked = init_weights(ProcessParams(alpha, beta, s, n))
+    rng, oracle_rng = make_stream(seed), make_stream(seed)
+    for k in range(1, n + 1):
+        state, checked = stepper(state, beta, rng), oracle(checked, beta, oracle_rng)
+        assert type(state) is WeightState and state.iteration == checked.iteration == k
+        assert state.weights.dtype == np.float64 and state.weights.shape == (s,)
+        assert state.weights.tobytes() == checked.weights.tobytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.iteration = 0
 
 
 class TestRun:
@@ -572,15 +632,15 @@ def test_distinct_symbol_law_at_sweep_size(mode, kernel, point, runs, first_seed
 
 
 class RecordingStream:
-    """A stream that logs the size of each of its ``random`` calls."""
+    """A stream that logs the size of each of its ``random`` calls, which fill the buffer they are given."""
 
     def __init__(self, seed):
         self.rng = make_stream(seed)
         self.sizes = []
 
-    def random(self, size):
-        self.sizes.append(size)
-        return self.rng.random(size)
+    def random(self, out):
+        self.sizes.append(out.size)
+        return self.rng.random(out=out)
 
 
 @pytest.mark.parametrize(

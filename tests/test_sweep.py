@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import multiprocessing
@@ -455,6 +456,9 @@ class TestRunExperiment:
         assert len(records) == 8
 
 
+FIELD_NAMES = ("experiment", "param_value", "replicate", "seed", "entropy_bits")
+
+
 class TestRunRecord:
     """The slotted record keeps the frozen-dataclass behaviour callers rely on."""
 
@@ -483,6 +487,45 @@ class TestRunRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             del record.seed
         assert not hasattr(record, "__dict__")  # slotted: vars(record) no longer works
+
+    def test_positional_and_keyword_construction(self):
+        values = ("tiny", 5.0, 2, 12_345, 1.5)
+        by_position = RunRecord(*values)
+        by_keyword = RunRecord(**dict(zip(FIELD_NAMES, values)))
+        assert by_position == by_keyword
+        assert tuple(getattr(by_keyword, name) for name in FIELD_NAMES) == values
+        assert RunRecord("tiny", 5.0, 2, seed=12_345, entropy_bits=1.5) == by_position
+        with pytest.raises(TypeError):
+            RunRecord(*values[:4])
+        with pytest.raises(TypeError):
+            RunRecord(*values, experiment="tiny")
+
+    def test_fields_match_args_repr_and_copy(self):
+        assert tuple(field.name for field in dataclasses.fields(RunRecord)) == FIELD_NAMES
+        assert RunRecord.__match_args__ == FIELD_NAMES
+        record = RunRecord("tiny", 5.0, 2, 12_345, 1.5)
+        match record:
+            case RunRecord(experiment, value, replicate, seed, entropy):
+                assert (experiment, value, replicate, seed, entropy) == ("tiny", 5.0, 2, 12_345, 1.5)
+        assert repr(record) == "RunRecord(experiment='tiny', param_value=5.0, replicate=2, seed=12345, entropy_bits=1.5)"
+        copied = copy.copy(record)
+        assert copied == record and type(copied) is RunRecord
+
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_sweep_records_equal_records_rebuilt_field_by_field(self, mode):
+        spec = tiny_spec(replicates=3)
+        records = run_experiment(spec, mode=mode)
+        rebuilt = []
+        for point, value in enumerate(log_sweep(spec.sweep)):
+            for replicate in range(spec.replicates):
+                seed = derive_run_seed(spec.master_seed, point, replicate)
+                entropy = shannon_entropy_bits(run(spec.params_at(value), make_stream(seed), mode))
+                rebuilt.append(RunRecord(experiment=spec.name, param_value=float(value), replicate=replicate,
+                                         seed=seed, entropy_bits=entropy))
+        assert records == rebuilt
+        for record in records:
+            assert RunRecord(*(getattr(record, name) for name in FIELD_NAMES)) == record
+            assert [type(getattr(record, name)) for name in FIELD_NAMES] == [str, float, int, int, float]
 
 
 def skewed_spec():
