@@ -99,12 +99,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FilexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 
 def entrypoint() -> None:

@@ -97,10 +97,10 @@ def _check_sums(probs: np.ndarray) -> None:
     comparison of NaN with the tolerance does.
     """
     totals = np.add.reduce(probs, axis=1)
-    if np.fmax.reduce(np.abs(totals - 1.0)) > 1e-12:
-        for total in totals.tolist():
-            if abs(total - 1.0) > 1e-12:
-                raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {total!r}")
+    errors = np.abs(totals - 1.0)
+    if np.fmax.reduce(errors) > 1e-12:
+        total = totals[np.argmax(errors > 1e-12)].item()
+        raise InvalidInputError(f"probs must sum to 1 within 1e-12, got {total!r}")
 
 
 def _hash_chain(init: int, multiplier: int, hashes: int) -> np.ndarray:
@@ -507,14 +507,9 @@ _BLOCK_DRAW_US = 0.047
 #   entropy), from calls of 4 and 64 rows at n = 0, fast and reference,
 #   (beta, s) = (3, 3) and (5, 64): 27 to 35 us per call and 2.9 to 4.2 per
 #   row; a 1-row call took 31 to 38 us. The seed hash is no part of a call:
-#   a sweep hashes all its seeds once, before it plans (about 50 us). Since
-#   a call's streams share one seed sequence and its sum check takes one
-#   pass, the same method, medians of 9 rounds, reads 34 to 39 us per call
-#   and 2.2 to 3.1 us per row (a 1-row call 33 to 38 us), where streams
-#   built one object each and a row-by-row sum check read 32 to 36 us and
-#   3.2 to 4.6 us in interleaved runs on the same host (2 CPUs, Python
-#   3.11, numpy 2.4). The row price keeps its 4 us, as every price below
-#   keeps its value until the re-fit;
+#   a sweep hashes all its seeds once, before it plans (about 50 us). The
+#   row price keeps its 4 us, as every price below keeps its value until
+#   the re-fit;
 # - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
 #   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
 #   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw
@@ -532,7 +527,7 @@ _BLOCK_DRAW_US = 0.047
 #   copy and steps blocks of a few draws in groups of rows (an n = 1e5 row
 #   at (beta, s) = (5, 64) took 9.4 against 11.9 ms). The prices keep their
 #   values: they only schedule work, and the re-fit of every call price is
-#   open in ROADMAP.md (item 4, price check).
+#   open in ROADMAP.md (item 1, price check).
 _CALL_US = 31.0
 _ROW_US = 4.0
 _CALL_ITERATION_US = 6.5

@@ -300,6 +300,15 @@ def _tick_text(value: float) -> str:
     return f"{value:g}"
 
 
+def _gridline(x1: float, y1: float, x2: float, y2: float) -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="#dddddd" stroke-width="1"/>'
+
+
+def _text(x: float, y: float, anchor: str, size: int, body: str) -> str:
+    return (f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="{size}">{body}</text>')
+
+
 def render_svg_scatter(spec: PlotSpec) -> str:
     """Self-contained SVG text: axes, gridlines, one circle per record."""
     left, right, top, bottom = 62.0, 16.0, 30.0, 46.0
@@ -331,25 +340,13 @@ def render_svg_scatter(spec: PlotSpec) -> str:
     tick = 0.0
     while tick <= spec.y_max + 1e-9:
         y = py(min(tick, spec.y_max))
-        out.append(
-            f'<line x1="{left:.2f}" y1="{y:.2f}" x2="{left + plot_w:.2f}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_text(tick)}</text>'
-        )
+        out.append(_gridline(left, y, left + plot_w, y))
+        out.append(_text(left - 8, y + 4, "end", 11, _tick_text(tick)))
         tick += y_step
     for tv in _x_ticks(lo, hi):
         x = px(tv)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{top + plot_h:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 16:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_text(tv)}</text>'
-        )
+        out.append(_gridline(x, top, x, top + plot_h))
+        out.append(_text(x, top + plot_h + 16, "middle", 11, _tick_text(tv)))
 
     out.append(
         f'<rect x="{left:.2f}" y="{top:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
@@ -363,10 +360,7 @@ def render_svg_scatter(spec: PlotSpec) -> str:
         )
     # escaped as xml.sax.saxutils.escape escapes it; that module imports urllib.request
     label = spec.x_label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    out.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{label}</text>'
-    )
+    out.append(_text(left + plot_w / 2, _HEIGHT - 10, "middle", 13, label))
     out.append(
         f'<text x="16" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '

@@ -61,8 +61,8 @@ class SweepSpec:
         object.__setattr__(self, "high", _check_positive("high", self.high))
         object.__setattr__(self, "integral", _check_flag("integral", self.integral))
         _check_positive("high/low", self.high / self.low)  # else the inner points overflow or vanish
-        if self.integral and math.floor(self.low) < 1:
-            raise InvalidParameterError(f"integral sweep requires floor(low) >= 1, got low={self.low}")
+        if self.integral and math.floor(min(self.low, self.high)) < 1:
+            raise InvalidParameterError(f"integral sweep ends must floor to >= 1, got low={self.low}, high={self.high}")
 
 
 def log_sweep(spec: SweepSpec) -> list:
@@ -108,9 +108,9 @@ class ExperimentSpec:
 
     The varied parameter's field must be None. ``alpha_coupled_to_s`` replaces
     a fixed alpha with ``5e-3 * s`` at every point of an s sweep. The name
-    becomes a CSV field, so it may not hold a comma or a line break. Every
-    sweep point must make valid :class:`ProcessParams`, so a spec that exists
-    can run.
+    becomes a CSV field, so it may not hold a comma or any line boundary that
+    :meth:`str.splitlines` breaks at. Every sweep point must make valid
+    :class:`ProcessParams`, so a spec that exists can run.
     """
 
     name: str
@@ -125,7 +125,8 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if any(c in self.name for c in ",\n\r"):
+        # the CSV reader splits lines with str.splitlines; the "." makes a boundary at the name's end split too
+        if "," in self.name or len((self.name + ".").splitlines()) > 1:
             raise InvalidParameterError(f"name must not contain a comma or a line break, got {self.name!r}")
         if self.varied not in VARIED_NAMES:
             raise InvalidParameterError(f"varied must be one of {VARIED_NAMES}, got {self.varied!r}")

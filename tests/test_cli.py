@@ -212,8 +212,12 @@ class TestCmdSweep:
                 "sweep point 0 (beta=2.0): beta must be an integer, got 2.0",
             ),
             (SWEEP_MINI.replace("alpha = 0.5", "alpha = inf"), "sweep point 0 (n=2): alpha must be positive and finite, got inf"),
+            (
+                SWEEP_MINI.replace("low = 2\nhigh = 40", "low = 5\nhigh = 0.5"),
+                "integral sweep ends must floor to >= 1, got low=5.0, high=0.5",
+            ),
         ],
-        ids=["zero-beta", "non-integral-beta", "infinite-alpha"],
+        ids=["zero-beta", "non-integral-beta", "infinite-alpha", "integral-end-floors-to-0"],
     )
     def test_custom_config_invalid_value_exits_2(self, tmp_path, capsys, config, message):
         cfg = write(tmp_path / "exp.cfg", config)

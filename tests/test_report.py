@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from filex.core import ProcessParams
 from filex.errors import ConfigError, CsvFormatError, InvalidInputError, InvalidParameterError
@@ -27,7 +29,7 @@ from filex.report import (
     write_records_csv,
 )
 from filex.stats import CorrelationResult
-from filex.sweep import ExperimentSpec, SweepSpec, canonical_experiments, run_experiment
+from filex.sweep import VARIED_NAMES, ExperimentSpec, SweepSpec, canonical_experiments, run_experiment
 
 
 class TestConfigParsing:
@@ -207,6 +209,30 @@ class TestCsv:
             assert row.replicate == record.replicate
             assert row.seed == record.seed
             assert row.entropy_bits == record.entropy_bits
+
+    @given(
+        name=st.text(),
+        varied=st.sampled_from(VARIED_NAMES),
+        ends=st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 20.0)),  # either end the larger
+        steps=st.integers(2, 5),
+        replicates=st.integers(1, 3),
+        master_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_every_spec_that_builds_round_trips(self, name, varied, ends, steps, replicates, master_seed):
+        fixed = dict(alpha=0.5, beta=2, s=4, n=20)
+        del fixed[varied]
+        try:
+            spec = ExperimentSpec(
+                name=name, varied=varied, sweep=SweepSpec(*ends, steps, integral=varied != "alpha"),
+                replicates=replicates, master_seed=master_seed, **fixed,
+            )
+        except InvalidParameterError:
+            reject()
+        records = run_experiment(spec)
+        rows = parse_records_csv(records_to_csv(spec, records))
+        assert [(r.experiment, r.param_name, r.param_value, r.replicate, r.seed, r.entropy_bits) for r in rows] == [
+            (r.experiment, varied, r.param_value, r.replicate, r.seed, r.entropy_bits) for r in records
+        ]
 
     def test_header_exact(self):
         spec, records = small_records()

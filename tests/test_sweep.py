@@ -74,6 +74,7 @@ class TestSweepSpec:
             dict(low=1.0, high=10.0, steps=5.0),
             dict(low=2.2e-309, high=1.0, steps=3),  # high/low overflows: the middle point would be inf
             dict(low=1e300, high=1e-300, steps=3),  # high/low underflows: the middle point would be 0
+            dict(low=5, high=0.5, steps=3, integral=True),  # descending: the last point would floor to 0
         ],
     )
     def test_invalid(self, kwargs):
@@ -159,10 +160,10 @@ class TestExperimentSpec:
                            alpha=1.0, s=4)
 
     def test_sweep_checked_at_its_last_end(self):
-        # s reaches floor(0.5) = 0 only at the last point
-        with pytest.raises(InvalidParameterError, match=r"^sweep point 2 \(s=0\): s must be >= 1, got 0$"):
-            ExperimentSpec(name="x", varied="s", sweep=SweepSpec(8, 0.5, 3, integral=True),
-                           alpha=1.0, beta=2, n=10)
+        # a descending alpha sweep: (alpha/s)/(alpha+n) underflows only at alpha = 1e-300, the last point
+        with pytest.raises(InvalidParameterError, match=r"^sweep point 2 \(alpha=1e-300\): \(alpha/s\)"):
+            ExperimentSpec(name="x", varied="alpha", sweep=SweepSpec(1.0, 1e-300, 3),
+                           beta=2, s=10**10, n=10**20)
         # (alpha/s)/(alpha+n) is subnormal at n = 1 and underflows only at n = 1e20
         with pytest.raises(InvalidParameterError, match=r"^sweep point 2 \(n=100000000000000000000\): \(alpha/s\)"):
             ExperimentSpec(name="x", varied="n", sweep=SweepSpec(1, 1e20, 3, integral=True),
@@ -194,7 +195,9 @@ class TestExperimentSpec:
             ExperimentSpec(name="x", varied="beta", sweep=SweepSpec(1, 8, 4, integral=True),
                            alpha=1.0, s=4, n=10, alpha_coupled_to_s=True)
 
-    @pytest.mark.parametrize("name", ["a\nb", "a\rb"])  # a comma: test_cli
+    @pytest.mark.parametrize(  # a comma: test_cli
+        "name", ["a\nb", "a\rb", *(f"a{c}b" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"), "a\u2028", "\x85"]
+    )
     def test_name_must_fit_a_csv_field(self, name):
         with pytest.raises(InvalidParameterError, match="name"):
             ExperimentSpec(name=name, varied="n", sweep=SweepSpec(1, 8, 4, integral=True),
