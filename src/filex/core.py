@@ -327,14 +327,19 @@ def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream],
     Each draw of row r picks the first index whose inclusive prefix sum of the
     row's iteration-start weights exceeds ``u * total``, as a linear scan
     would, so every draw sees the same distribution, and ``np.add.at`` applies
-    the increments one at a time in each row's draw order, the arithmetic of
-    a per-draw loop: row r equals folding :func:`step` from its initial
-    weights. Each row draws its variates a block of iterations at a time, into
-    its row of one buffer (``rng.random(out=...)`` of k*beta doubles gives
-    the doubles of k calls of ``rng.random(beta)``), about ``_BLOCK_DRAWS``
-    variates over all rows per block and never more than one iteration's
-    R*beta beyond that. ``sink``, if given, receives each iteration's drawn
-    flat indices ``r*s + idx``, row by row.
+    the increments one at a time, the arithmetic of a per-draw loop: row r
+    equals folding :func:`step` from its initial weights. Each row draws its
+    variates a block of iterations at a time, into its row of one buffer
+    (``rng.random(out=...)`` of k*beta doubles gives the doubles of k calls
+    of ``rng.random(beta)``), about ``_BLOCK_DRAWS`` variates over all rows
+    per block and never more than one iteration's R*beta beyond that. Each
+    iteration's variates of a row are then sorted. That is exact, as every
+    hit adds the same 1/beta, so a row's weights after an iteration depend
+    only on how many of its draws land on each symbol; and it is faster, as
+    the search over sorted targets starts each from the last one's position
+    and stops mispredicting. ``sink``, if given, receives each iteration's
+    drawn flat indices ``r*s + idx``, row by row and in draw order: a traced
+    call does not sort.
     """
     beta, s, n = rows[0].beta, rows[0].s, rows[0].n
     w = _initial_weights(rows)
@@ -356,6 +361,8 @@ def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream],
         for rng, row_u in zip(rngs, u):
             rng.random(out=row_u)
         u = u.reshape(len(rows), size, beta)
+        if sink is None:  # the same hit counts, searched in order; a trace keeps draw order
+            u.sort(axis=2)
         for j in range(size):
             np.add.accumulate(w, axis=1, out=cdf)
             np.multiply(u[:, j], total, out=target_values)
@@ -513,9 +520,16 @@ _BLOCK_DRAW_US = 0.047
 # - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
 #   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
 #   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw
-#   plus 0.01 per symbol. A 1000-iteration row at (10, 64) costs about 2.1 ms
-#   as one of 32 rows of a call, its share of the call included, and 8.8 ms
-#   alone;
+#   plus 0.01 per symbol, which the prices keep. A 1000-iteration row at
+#   (10, 64) cost about 2.1 ms as one of 32 rows of a call, its share of the
+#   call included, and 8.8 ms alone. Sorting each iteration's variates before
+#   the search cut the part per row-iteration; by the same method, R = 32 or
+#   the row cap if lower, three runs a side, before -> after: 1.8-2.1 -> 1.3-1.7
+#   us at (10, 64), 14-16 -> 7.9-9.6 at (100, 64), 120-130 -> 55-60 at
+#   (1000, 64) over 3 rows, 0.69-0.73 -> 0.56-0.69 at (10, 2), 2.8-3.5 ->
+#   2.2-2.9 at (10, 256), and 0.46-0.54 -> 0.42-0.55 at (1, 64), where there
+#   is nothing to sort; 5.6 to 9.0 us per call-iteration on both sides. A
+#   large beta now costs about 0.06 us per draw;
 # - multinomial loop: 6 to 7 us per call-iteration; per row-iteration 2.8 us
 #   at (beta, s) = (200, 3), 9.3 to 12 at (200, 64), 16 to 21 at (2000, 64),
 #   10 at (32768, 64), 40 to 51 at (2000, 256), and 12 to 16 over 63 rows of

@@ -177,8 +177,10 @@ def records_to_csv(spec: ExperimentSpec, records: Sequence[RunRecord]) -> str:
 
 
 def write_records_csv(path, spec: ExperimentSpec, records: Sequence[RunRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(records_to_csv(spec, records))
+    """Write :func:`records_to_csv` to ``path`` as UTF-8; text that cannot be encoded leaves the file as it was."""
+    data = records_to_csv(spec, records).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 @dataclass(frozen=True)

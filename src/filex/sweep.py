@@ -109,8 +109,9 @@ class ExperimentSpec:
     The varied parameter's field must be None. ``alpha_coupled_to_s`` replaces
     a fixed alpha with ``5e-3 * s`` at every point of an s sweep. The name
     becomes a CSV field, so it may not hold a comma or any line boundary that
-    :meth:`str.splitlines` breaks at. Every sweep point must make valid
-    :class:`ProcessParams`, so a spec that exists can run.
+    :meth:`str.splitlines` breaks at, and must encode as UTF-8. Every sweep
+    point must make valid :class:`ProcessParams`, so a spec that exists can
+    run.
     """
 
     name: str
@@ -128,6 +129,10 @@ class ExperimentSpec:
         # the CSV reader splits lines with str.splitlines; the "." makes a boundary at the name's end split too
         if "," in self.name or len((self.name + ".").splitlines()) > 1:
             raise InvalidParameterError(f"name must not contain a comma or a line break, got {self.name!r}")
+        try:  # the CSV is written as UTF-8, which a lone surrogate cannot be
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidParameterError(f"name must encode as UTF-8, got {self.name!r}") from None
         if self.varied not in VARIED_NAMES:
             raise InvalidParameterError(f"varied must be one of {VARIED_NAMES}, got {self.varied!r}")
         if getattr(self, self.varied) is not None:

@@ -45,6 +45,7 @@ from filex.core import (
 )
 from filex.errors import InvalidInputError, InvalidParameterError
 from filex.stats import shannon_entropy_bits
+from filex.sweep import REDUCED_STRIDE, canonical_experiments, log_sweep
 
 from oracles import (
     binned_chi2_pvalue,
@@ -659,6 +660,42 @@ def test_reference_block_draws_bounded(rows, beta, n):
     assert all(sum(stream.sizes) == n * beta for stream in streams)
     for r in (0, rows - 1):  # the recorded streams gave each row its own run's variates
         assert np.array_equal(w[r], _reference_rows([params[r]], [make_stream(r)])[0])
+
+
+def test_reference_rows_equal_step_folds_at_sweep_shape():
+    """A call of the reduced canonical alpha sweep, row by row, equals folding :func:`step` on each row's stream.
+
+    The 25 rows are those one call gets on 2 workers (every other reduced
+    alpha, at n = 300). The kernel sorts each iteration's variates before its
+    search, while ``step`` applies them in draw order; at alpha = 1e-4 one
+    symbol takes several hits in one iteration, so a kernel that applied a
+    repeated hit once would differ.
+    """
+    spec = next(e for e in canonical_experiments(0) if e.name == "alpha")
+    alphas = log_sweep(spec.sweep)[::REDUCED_STRIDE][::2]
+    rows = [ProcessParams(alpha, spec.beta, spec.s, 300) for alpha in alphas]
+    assert len(rows) == 25 and rows[0].alpha == 1e-4 and (rows[0].beta, rows[0].s) == (10, 64)
+    seeds = range(100, 125)
+    w = _reference_rows(rows, streams(seeds))
+    for row, params, rng in zip(w, rows, streams(seeds)):
+        state = init_weights(params)
+        for _ in range(params.n):
+            state = step(state, params.beta, rng)
+        assert row.tobytes() == state.weights.tobytes()
+
+
+def test_trace_keeps_draw_order():
+    """``run_traced`` records each iteration's indices in draw order, as ``step``'s search finds them."""
+    params = ProcessParams(0.01, 10, 64, 200)
+    traced = run_traced(params, make_stream(31))
+    state, rng, draws = init_weights(params), make_stream(31), make_stream(31)
+    expected = []
+    for _ in range(params.n):
+        expected.append(_inverse_cdf(state.weights, draws.random(params.beta)))
+        state = step(state, params.beta, rng)
+    assert any(np.any(np.diff(idx) < 0) for idx in expected)  # sorted draws would give another trace
+    assert np.array_equal(traced.indices, np.concatenate(expected))
+    assert traced.distribution.probs.tobytes() == run(params, make_stream(31), "reference").probs.tobytes()
 
 
 # Sweep-size points beyond exact enumeration: (alpha, beta, s, n).

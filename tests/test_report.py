@@ -29,7 +29,7 @@ from filex.report import (
     write_records_csv,
 )
 from filex.stats import CorrelationResult
-from filex.sweep import VARIED_NAMES, ExperimentSpec, SweepSpec, canonical_experiments, run_experiment
+from filex.sweep import VARIED_NAMES, ExperimentSpec, RunRecord, SweepSpec, canonical_experiments, run_experiment
 
 
 class TestConfigParsing:
@@ -245,6 +245,17 @@ class TestCsv:
         write_records_csv(p1, spec, records)
         write_records_csv(p2, spec, records)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_the_file(self, tmp_path):
+        # a spec refuses such a name; records built by hand can still carry one
+        spec, records = small_records()
+        path = tmp_path / "out.csv"
+        write_records_csv(path, spec, records)
+        kept = path.read_bytes()
+        bad = [RunRecord("a\ud800", r.param_value, r.replicate, r.seed, r.entropy_bits) for r in records]
+        with pytest.raises(UnicodeEncodeError):
+            write_records_csv(path, spec, bad)
+        assert path.read_bytes() == kept
 
     def test_bad_header(self):
         with pytest.raises(CsvFormatError, match="line 1"):

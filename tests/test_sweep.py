@@ -196,7 +196,8 @@ class TestExperimentSpec:
                            alpha=1.0, s=4, n=10, alpha_coupled_to_s=True)
 
     @pytest.mark.parametrize(  # a comma: test_cli
-        "name", ["a\nb", "a\rb", *(f"a{c}b" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"), "a\u2028", "\x85"]
+        "name", ["a\nb", "a\rb", *(f"a{c}b" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"), "a\u2028", "\x85",
+                 "a\ud800", "\udfff"]  # lone surrogates, which UTF-8 cannot encode
     )
     def test_name_must_fit_a_csv_field(self, name):
         with pytest.raises(InvalidParameterError, match="name"):
