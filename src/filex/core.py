@@ -321,7 +321,7 @@ def _inverse_cdf_counts(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 _BLOCK_DRAWS = 4096
 
 
-def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream], sink: list | None = None) -> np.ndarray:
+def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream]) -> np.ndarray:
     """Final weights by per-draw inverse-CDF sampling from each iteration's frozen weights.
 
     Each draw of row r picks the first index whose inclusive prefix sum of the
@@ -337,9 +337,8 @@ def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream],
     hit adds the same 1/beta, so a row's weights after an iteration depend
     only on how many of its draws land on each symbol; and it is faster, as
     the search over sorted targets starts each from the last one's position
-    and stops mispredicting. ``sink``, if given, receives each iteration's
-    drawn flat indices ``r*s + idx``, row by row and in draw order: a traced
-    call does not sort.
+    and stops mispredicting. The kernel always sorts; the draw order is
+    :func:`run_traced`'s, which folds :func:`step`'s per-draw iteration.
     """
     beta, s, n = rows[0].beta, rows[0].s, rows[0].n
     w = _initial_weights(rows)
@@ -361,18 +360,14 @@ def _reference_rows(rows: Sequence[ProcessParams], rngs: Sequence[RandomStream],
         for rng, row_u in zip(rngs, u):
             rng.random(out=row_u)
         u = u.reshape(len(rows), size, beta)
-        if sink is None:  # the same hit counts, searched in order; a trace keeps draw order
-            u.sort(axis=2)
+        u.sort(axis=2)  # the same hit counts, searched in order
         for j in range(size):
             np.add.accumulate(w, axis=1, out=cdf)
             np.multiply(u[:, j], total, out=target_values)
             # An infinite last prefix sum keeps a target that reaches the
             # total (u = 1, or rounding) on the row's last index: a clamp.
             total.fill(np.inf)
-            idx = keys.searchsorted(targets, side="right")
-            if sink is not None:
-                sink.append(idx)
-            np.add.at(flat, idx, increment)
+            np.add.at(flat, keys.searchsorted(targets, side="right"), increment)
     return w
 
 
@@ -501,47 +496,37 @@ _BLOCK_DRAW_US = 0.047
 # Call prices, in microseconds: a call of R rows costs its fixed part plus R
 # times a row's, and a loop kernel adds one part per iteration of the call
 # (normalization or prefix sums over all rows) plus one per row-iteration.
+# The prices only schedule work, so they may sit off the measured times below;
+# their re-fit, against measured call times, is ROADMAP.md item 1 (price check).
 # Method: in one process, each sample timed a call through the chunk path of
 # a sweep (streams, _run_rows, entropies) at n iterations and again at n = 0,
-# once with one row and once with R = 16 or 32 (8 for the block kernel, 63
-# for the beta-sweep mix), each next to a unit that scales it to 11.6 us per
-# multinomial iteration at (beta, s, R) = (4, 64, 1), the unit of the pick
-# above and of the sweep's pool and chunk constants. (time(n) - time(0)) / n
-# gave the cost per iteration at each R; its growth over R, the part per
-# row-iteration, and the rest, the part per call-iteration. Medians of 9
-# rounds, two runs, on 2 CPUs (Python 3.11, numpy 2.4):
-# - fixed: 31 us per call and 4 us per row (streams from seed words, checks,
-#   entropy), from calls of 4 and 64 rows at n = 0, fast and reference,
-#   (beta, s) = (3, 3) and (5, 64): 27 to 35 us per call and 2.9 to 4.2 per
-#   row; a 1-row call took 31 to 38 us. The seed hash is no part of a call:
-#   a sweep hashes all its seeds once, before it plans (about 50 us). The
-#   row price keeps its 4 us, as every price below keeps its value until
-#   the re-fit;
-# - reference loop: 6.1 to 7.3 us per call-iteration; per row-iteration 0.59
-#   us at (beta, s) = (1, 64), 1.9 at (10, 64), 15 at (100, 64), 155 at
-#   (1000, 64), 0.82 at (10, 2) and 3.4 at (10, 256): about 0.15 us per draw
-#   plus 0.01 per symbol, which the prices keep. A 1000-iteration row at
-#   (10, 64) cost about 2.1 ms as one of 32 rows of a call, its share of the
-#   call included, and 8.8 ms alone. Sorting each iteration's variates before
-#   the search cut the part per row-iteration; by the same method, R = 32 or
-#   the row cap if lower, three runs a side, before -> after: 1.8-2.1 -> 1.3-1.7
-#   us at (10, 64), 14-16 -> 7.9-9.6 at (100, 64), 120-130 -> 55-60 at
-#   (1000, 64) over 3 rows, 0.69-0.73 -> 0.56-0.69 at (10, 2), 2.8-3.5 ->
-#   2.2-2.9 at (10, 256), and 0.46-0.54 -> 0.42-0.55 at (1, 64), where there
-#   is nothing to sort; 5.6 to 9.0 us per call-iteration on both sides. A
-#   large beta now costs about 0.06 us per draw;
-# - multinomial loop: 6 to 7 us per call-iteration; per row-iteration 2.8 us
-#   at (beta, s) = (200, 3), 9.3 to 12 at (200, 64), 16 to 21 at (2000, 64),
-#   10 at (32768, 64), 40 to 51 at (2000, 256), and 12 to 16 over 63 rows of
-#   the canonical beta sweep (beta 187 to 32768, s = 64): 2.5 us plus 0.18
-#   per symbol, which prices that sweep's mix of betas;
-# - block copy kernel: no part per call-iteration; a row's pick price above
-#   serves as its price. A row took 0.7 to 0.85 times it when each row ran
-#   alone, and takes less now that the kernel follows only the draws that
-#   copy and steps blocks of a few draws in groups of rows (an n = 1e5 row
-#   at (beta, s) = (5, 64) took 9.4 against 11.9 ms). The prices keep their
-#   values: they only schedule work, and the re-fit of every call price is
-#   open in ROADMAP.md (item 1, price check).
+# once with one row and once with R rows (32 or the row cap for the reference
+# loop, 16 or 32 for the multinomial loop, 63 for the beta-sweep mix), each
+# next to a unit that scales it to 11.6 us per multinomial iteration at (beta,
+# s, R) = (4, 64, 1), the unit of the pick above and of the sweep's pool and
+# chunk constants. (time(n) - time(0)) / n gave the cost per iteration at each
+# R; its growth over R, the part per row-iteration, and the rest, the part per
+# call-iteration. Medians of 9 rounds, two or three runs, on 2 CPUs (Python
+# 3.11, numpy 2.4):
+# - fixed, priced 31 us per call and 4 per row (streams from seed words,
+#   checks, entropy): 27 to 35 us per call and 2.9 to 4.2 per row, from calls
+#   of 4 and 64 rows at n = 0, fast and reference, (beta, s) = (3, 3) and
+#   (5, 64); a 1-row call took 31 to 38 us. A sweep hashes all its seeds once,
+#   before it plans (about 50 us), outside every call;
+# - reference loop, priced 6.5 us per call-iteration and 0.15 us per draw plus
+#   0.01 per symbol per row-iteration: 5.6 to 9.0 us per call-iteration; per
+#   row-iteration 0.42-0.55 us at (beta, s) = (1, 64), 1.3-1.7 at (10, 64),
+#   7.9-9.6 at (100, 64), 55-60 at (1000, 64) over 3 rows, 0.56-0.69 at (10, 2)
+#   and 2.2-2.9 at (10, 256). At beta >= 100 a draw costs 0.06-0.09 us, so the
+#   price of a large-beta row is about twice its time;
+# - multinomial loop, priced 6.5 us per call-iteration and 2.5 us plus 0.18 per
+#   symbol per row-iteration: 6 to 7 us per call-iteration; per row-iteration
+#   2.8 us at (beta, s) = (200, 3), 9.3 to 12 at (200, 64), 16 to 21 at (2000,
+#   64), 10 at (32768, 64), 40 to 51 at (2000, 256), and 12 to 16 over 63 rows
+#   of the canonical beta sweep (beta 187 to 32768, s = 64);
+# - block copy kernel, priced a row's pick price above and no part per
+#   call-iteration: an n = 1e5 row at (beta, s) = (5, 64) took 9.4 ms against
+#   its 32.7 ms price.
 _CALL_US = 31.0
 _ROW_US = 4.0
 _CALL_ITERATION_US = 6.5
@@ -601,18 +586,25 @@ def _kernel(params: ProcessParams, mode: str) -> Kernel:
     return Kernel(_block_rows, (beta, s, n), _CALL_US, _ROW_US + block_us, max_rows)
 
 
-def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
-    """Advance one iteration with the reference per-draw sampler.
+def _draw(weights: np.ndarray, beta: int, rng: RandomStream) -> np.ndarray:
+    """One reference iteration on ``weights`` in place; returns its drawn indices in draw order.
 
     All beta variates map through the prefix sums of the iteration-start
     weights, so every draw sees the same distribution, and ``np.add.at``
-    applies the increments one at a time in draw order. Folding it is the
-    one-run oracle of the reference kernel.
+    applies the increments one at a time in draw order.
     """
-    beta = _check_count("beta", beta, 1)
-    idx = _inverse_cdf(state.weights, rng.random(beta))
-    weights = state.weights.copy()
+    idx = _inverse_cdf(weights, rng.random(beta))
     np.add.at(weights, idx, 1.0 / beta)
+    return idx
+
+
+def step(state: WeightState, beta: int, rng: RandomStream) -> WeightState:
+    """Advance one iteration with the reference per-draw sampler (:func:`_draw` on a copy).
+
+    Folding it is the one-run oracle of the reference kernel.
+    """
+    weights = state.weights.copy()
+    _draw(weights, _check_count("beta", beta, 1), rng)
     return _next_state(weights, state.iteration + 1)
 
 
@@ -673,7 +665,7 @@ class TraceResult:
 
 
 def run_traced(params: ProcessParams, rng: RandomStream, increment_scale: float = 1.0) -> TraceResult:
-    """Reference-mode run that records every drawn index.
+    """Reference-mode run that records every drawn index, in draw order: the fold of :func:`step`'s iteration.
 
     ``increment_scale=c`` runs the process with initial weights ``c*alpha/s``
     and per-draw increments ``c/beta``. Because the categorical distribution
@@ -681,11 +673,15 @@ def run_traced(params: ProcessParams, rng: RandomStream, increment_scale: float 
     normalized distribution are the same for every c; the common factor is
     therefore carried outside the trajectory arithmetic and materialized only
     in the returned state's weights. This makes the invariance exact: equal
-    seeds give bit-identical traces and distributions for any scale.
+    seeds give bit-identical traces and distributions for any scale. A scale
+    that takes a final weight to 0 or past the largest float is rejected.
     """
     scale = _check_positive("increment_scale", increment_scale)
-    sink: list[np.ndarray] = []
-    w = _reference_rows([params], [rng], sink)
-    dist = Distribution(_normalize(w)[0])
-    final = WeightState(scale * w[0], params.n)
-    return TraceResult(dist, final, np.array(sink, dtype=np.int64).reshape(-1))
+    w = _initial_weights([params])
+    indices = [_draw(w[0], params.beta, rng) for _ in range(params.n)]
+    try:
+        with np.errstate(over="ignore"):
+            final = WeightState(scale * w[0], params.n)
+    except InvalidInputError:
+        raise InvalidParameterError(f"increment_scale={scale} takes a final weight out of the positive finite floats") from None
+    return TraceResult(Distribution(_normalize(w)[0]), final, np.array(indices, dtype=np.int64).reshape(-1))

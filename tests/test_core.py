@@ -153,10 +153,19 @@ class TestMakeStreams:
         assert np.array_equal(_seed_words(np.array(seeds, dtype=np.uint64)), _seed_words(seeds))
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), True, "2"])
+# 1.5e308 takes the final weight 1.5 past the largest float; 5e-324 takes 0.5 to 0
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), True, "2", 1.5e308, 5e-324])
 def test_run_traced_rejects_scale(scale):
     with pytest.raises(InvalidParameterError, match="increment_scale"):
         run_traced(ProcessParams(1.0, 1, 2, 1), make_stream(0), increment_scale=scale)
+
+
+def test_run_traced_scales_up_to_the_float_range():
+    """Final weights 0.5 and 1.5 scaled by 1e308 are finite, so the run stands."""
+    base = run_traced(ProcessParams(1.0, 1, 2, 1), make_stream(0))
+    scaled = run_traced(ProcessParams(1.0, 1, 2, 1), make_stream(0), increment_scale=1e308)
+    assert sorted(base.state.weights) == [0.5, 1.5]
+    assert np.array_equal(scaled.state.weights, 1e308 * base.state.weights)
 
 
 class TestInitWeights:
@@ -696,6 +705,22 @@ def test_trace_keeps_draw_order():
     assert any(np.any(np.diff(idx) < 0) for idx in expected)  # sorted draws would give another trace
     assert np.array_equal(traced.indices, np.concatenate(expected))
     assert traced.distribution.probs.tobytes() == run(params, make_stream(31), "reference").probs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sampler", [run_traced, lambda params, rng: run(params, rng, "reference")], ids=["run_traced", "reference"]
+)
+def test_reference_run_uses_n_beta_variates(sampler):
+    """A traced or reference run leaves its stream where ``random(n * beta)`` leaves a fresh one.
+
+    At beta 10 and n 1000 the kernel draws 409 iterations a block, so the run
+    spans three blocks, the last one short.
+    """
+    params = ProcessParams(0.5, 10, 64, 1000)
+    rng, fresh = make_stream(8), make_stream(8)
+    sampler(params, rng)
+    fresh.random(params.n * params.beta)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 # Sweep-size points beyond exact enumeration: (alpha, beta, s, n).
