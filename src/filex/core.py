@@ -271,20 +271,8 @@ def init_weights(params: ProcessParams) -> WeightState:
     return WeightState(_initial_weights([params])[0], 0)
 
 
-def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniform variates in [0, 1) to indices drawn proportionally to weights.
-
-    Each variate picks the first index whose inclusive prefix sum exceeds
-    ``u * total``, exactly as a linear scan over the running sums would. The
-    clamp keeps the closed end u = 1 on the last index.
-    """
-    cdf = np.cumsum(weights)
-    idx = np.searchsorted(cdf, u * cdf[-1], side="right")
-    return np.minimum(idx, weights.size - 1)
-
-
 def _inverse_cdf_counts(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.bincount(_inverse_cdf(weights[r], u[r]), minlength=s)`` as row r, for every row of the 2-d arrays, by sorting.
+    """How many of ``u[r]`` :func:`_draw`'s search puts on each index of ``weights[r]``, as row r, for every row of the 2-d arrays, by sorting.
 
     Index i is chosen for every variate below ``cdf[i] / total`` and at or
     above ``cdf[i - 1] / total``, so the counts are differences of the number
@@ -590,10 +578,15 @@ def _draw(weights: np.ndarray, beta: int, rng: RandomStream) -> np.ndarray:
     """One reference iteration on ``weights`` in place; returns its drawn indices in draw order.
 
     All beta variates map through the prefix sums of the iteration-start
-    weights, so every draw sees the same distribution, and ``np.add.at``
-    applies the increments one at a time in draw order.
+    weights, so every draw sees the same distribution: each picks the first
+    index whose inclusive prefix sum exceeds ``u * total``, exactly as a
+    linear scan over the running sums would, and the clamp keeps the closed
+    end u = 1 on the last index. ``np.add.at`` then applies the increments
+    one at a time in draw order.
     """
-    idx = _inverse_cdf(weights, rng.random(beta))
+    cdf = np.add.accumulate(weights)
+    idx = cdf.searchsorted(rng.random(beta) * cdf[-1], side="right")
+    np.minimum(idx, weights.size - 1, out=idx)
     np.add.at(weights, idx, 1.0 / beta)
     return idx
 

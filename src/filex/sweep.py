@@ -110,8 +110,9 @@ class ExperimentSpec:
     a fixed alpha with ``5e-3 * s`` at every point of an s sweep. The name
     becomes a CSV field, so it may not hold a comma or any line boundary that
     :meth:`str.splitlines` breaks at, and must encode as UTF-8. Every sweep
-    point must make valid :class:`ProcessParams`, so a spec that exists can
-    run.
+    point must make valid :class:`ProcessParams` and a positive finite x on
+    its axis (:func:`sweep_axis`), so a spec that exists can run and its
+    records can be tabled and plotted.
     """
 
     name: str
@@ -145,10 +146,12 @@ class ExperimentSpec:
                 raise InvalidParameterError("alpha must be omitted when coupled to s")
         object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 1))
         object.__setattr__(self, "master_seed", _check_count("master_seed", self.master_seed, 0, _MAX_SEED))
-        # the ends suffice: floored counts lie between them, and (alpha/s)/(alpha+n) is monotone along any sweep
+        # the ends suffice: floored counts lie between them; (alpha/s)/(alpha+n) and each axis map are monotone in a sweep
+        label, to_x = sweep_axis(self.varied)
         for index, value in zip((0, self.sweep.steps - 1), log_sweep(replace(self.sweep, steps=2))):
             try:
                 self.params_at(value)
+                _check_positive(label, to_x(value))
             except InvalidParameterError as exc:
                 raise InvalidParameterError(f"sweep point {index} ({self.varied}={value!r}): {exc}") from exc
 

@@ -4,8 +4,10 @@ Everything here is deliberately written against the definitions rather than
 reusing package code paths: correlation by explicit pair classification,
 process outcome distributions by exact rational enumeration, one symbol's
 hit-count law and the expected entropy at sweep sizes by an exact dynamic
-program over that hit count, the law of the number of symbols hit from
-the urn's copy form, and the block copy kernel as a plain loop over rows.
+program over that hit count, the expected collision probability at every
+sweep size by a recursion over one symbol's weight moments, the law of the
+number of symbols hit from the urn's copy form, and the block copy kernel as
+a plain loop over rows.
 Nothing here imports ``filex``.
 """
 
@@ -162,6 +164,25 @@ def expected_entropy_curve(alpha: float, beta: int, s: int, ns) -> np.ndarray:
 def expected_entropy_bits(alpha: float, beta: int, s: int, n: int) -> float:
     """Exact E[H] in bits after n iterations; see :func:`expected_entropy_curve`."""
     return float(expected_entropy_curve(alpha, beta, s, [n])[0])
+
+
+def collision_moments(alpha: float, beta: int, s: int, n: int) -> float:
+    """Exact E[sum of p_i**2], the collision probability of the final distribution, in O(n).
+
+    Let W be one symbol's weight at the start of iteration j and A = alpha + j
+    the total. Its hits are X ~ Binomial(beta, W/A) and W gains X/beta, so
+    m1 = E[W] and m2 = E[W**2] step as m1 <- m1 (1 + 1/A) and
+    m2 <- m2 (1 + 2/A + (1 - 1/beta)/A**2) + m1/(beta A), m2 taking the old
+    m1, both from W = alpha/s. Every symbol has this law, and the total
+    after n iterations is alpha + n, so E[sum p**2] = s m2 / (alpha + n)**2.
+    """
+    m1 = m2 = alpha / s
+    m2 *= m2
+    for j in range(n):
+        a = alpha + j
+        m2 = m2 * (1.0 + 2.0 / a + (1.0 - 1.0 / beta) / (a * a)) + m1 / (beta * a)
+        m1 *= 1.0 + 1.0 / a
+    return s * m2 / (alpha + n) ** 2
 
 
 def _trim_tails(low: int, law: np.ndarray, tail: float) -> tuple[int, np.ndarray]:

@@ -216,8 +216,12 @@ class TestCmdSweep:
                 SWEEP_MINI.replace("low = 2\nhigh = 40", "low = 5\nhigh = 0.5"),
                 "integral sweep ends must floor to >= 1, got low=5.0, high=0.5",
             ),
+            (
+                "name = tiny-alpha\nvaried = alpha\nlow = 1e-310\nhigh = 1e-300\nsteps = 3\nbeta = 2\ns = 3\nn = 5\nmaster_seed = 1\n",
+                "sweep point 0 (alpha=1e-310): 1/alpha must be positive and finite, got inf",
+            ),
         ],
-        ids=["zero-beta", "non-integral-beta", "infinite-alpha", "integral-end-floors-to-0"],
+        ids=["zero-beta", "non-integral-beta", "infinite-alpha", "integral-end-floors-to-0", "alpha-axis-overflows"],
     )
     def test_custom_config_invalid_value_exits_2(self, tmp_path, capsys, config, message):
         cfg = write(tmp_path / "exp.cfg", config)

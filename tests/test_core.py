@@ -28,7 +28,7 @@ from filex.core import (
     _ROW_NUMBERS,
     _ROW_US,
     _block_rows,
-    _inverse_cdf,
+    _draw,
     _inverse_cdf_counts,
     _kernel,
     _multinomial_rows,
@@ -51,6 +51,7 @@ from oracles import (
     binned_chi2_pvalue,
     block_copy_rows,
     chi2_gof_pvalue,
+    collision_moments,
     distinct_symbol_law,
     distinct_symbols,
     enumerate_outcome_distribution,
@@ -70,6 +71,33 @@ def linear_scan_sample(weights, u):
         if acc > target:
             return i
     return len(weights) - 1
+
+
+def _inverse_cdf(weights, u):
+    """The reference search written out with ``np.cumsum`` and ``np.searchsorted``, apart from :func:`_draw`'s.
+
+    Each variate picks the first index whose inclusive prefix sum exceeds
+    ``u * total``; the last index takes the closed end u = 1.
+    """
+    cdf = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), weights.size - 1)
+
+
+class GivenVariates:
+    """A stream stub whose ``random`` gives the variates ``u`` (a scalar fills any size), returned or written to ``out``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.u
+        return out
+
+
+def searched(weights, u):
+    """The indices :func:`_draw`'s search gives the variates ``u`` over ``weights``, run on a copy of them."""
+    return _draw(np.array(weights, dtype=np.float64), len(u), GivenVariates(u))
 
 
 class TestProcessParams:
@@ -216,14 +244,14 @@ class TestDistributionAndState:
 
 
 class TestSampleCategorical:
-    """The reference sampler's inverse-CDF primitive."""
+    """The reference iteration's inverse-CDF search, as :func:`_draw` runs it on given variates."""
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(6)
         for size in (1, 2, 3, 7, 64, 100):
             w = rng.random(size) + 1e-6
             for u in (np.linspace(0.0, 0.999999, 301), rng.random(300)):
-                assert _inverse_cdf(w, u).tolist() == [linear_scan_sample(w.tolist(), x) for x in u]
+                assert searched(w, u).tolist() == [linear_scan_sample(w.tolist(), x) for x in u]
 
     def test_u_close_to_one_clamped(self):
         # For u < 1, u * total rounds below the total; u = 1, the closed end,
@@ -232,42 +260,37 @@ class TestSampleCategorical:
         u = np.array([np.nextafter(1.0, 0.0), 1.0])
         total = np.cumsum(w)[-1]
         assert u[0] * total < total == u[1] * total
-        assert _inverse_cdf(w, u).tolist() == [2, 2]
+        assert searched(w, u).tolist() == [2, 2]
 
     def test_u_one_clamped_in_every_row(self):
         # the reference kernel clamps each row's u = 1 draws to that row's last symbol
-        class ClosedEnd:
-            def random(self, out):
-                out.fill(1.0)
-                return out
-
         rows = [ProcessParams(alpha, 2, 3, 4) for alpha in (1.0, 3.0)]
-        w = _reference_rows(rows, [ClosedEnd(), ClosedEnd()])
+        w = _reference_rows(rows, [GivenVariates(1.0), GivenVariates(1.0)])
         assert np.array_equal(w[:, :2], [[1 / 3] * 2, [1.0] * 2])
         assert np.array_equal(w[:, 2], [1 / 3 + 4, 1.0 + 4])
 
     def test_single_category(self):
-        assert _inverse_cdf(np.array([5.0]), make_stream(0).random(50)).tolist() == [0] * 50
+        assert searched(np.array([5.0]), make_stream(0).random(50)).tolist() == [0] * 50
 
     def test_uniform_pair_frequency(self):
-        hits = np.count_nonzero(_inverse_cdf(np.array([1.0, 1.0]), make_stream(1).random(100_000)) == 0)
+        hits = np.count_nonzero(searched(np.array([1.0, 1.0]), make_stream(1).random(100_000)) == 0)
         assert hits / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_three_to_one_frequency(self):
-        hits = np.count_nonzero(_inverse_cdf(np.array([3.0, 1.0]), make_stream(2).random(100_000)) == 0)
+        hits = np.count_nonzero(searched(np.array([3.0, 1.0]), make_stream(2).random(100_000)) == 0)
         assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
 
     def test_counts_equal_histogram_of_indices(self):
-        # the block kernel's sorted form must pick exactly the indices the
-        # per-variate search picks, ties on prefix sums and u = 1 included,
-        # in every row of a call
+        # the block kernel's sorted form must pick exactly the indices
+        # _draw's per-variate search picks, ties on prefix sums and u = 1
+        # included, in every row of a call
         rng = np.random.default_rng(25)
         for weights in (np.array([5.0]), np.array([0.5, 0.5, 1.0, 2.0]), rng.random(64) + 1e-9):
             cdf = np.cumsum(weights)
             edges = np.r_[cdf / cdf[-1], np.nextafter(cdf / cdf[-1], 0.0)]
             rows = [rng.random(1000), np.r_[edges, 0.0, 1.0, rng.random(998 - edges.size)], rng.random(1000)]
             rows_weights = np.array([weights, weights, weights * 3.0])
-            expected = [np.bincount(_inverse_cdf(w, u), minlength=weights.size) for w, u in zip(rows_weights, rows)]
+            expected = [np.bincount(searched(w, u), minlength=weights.size) for w, u in zip(rows_weights, rows)]
             assert _inverse_cdf_counts(rows_weights, np.array(rows)).tolist() == np.array(expected).tolist()
 
 
@@ -353,7 +376,7 @@ class TestStepFast:
 
 
 def checked_step(state, beta, rng):
-    """One reference step written out, its state built through the checked constructor."""
+    """One reference step written out, its search apart from the package's (:func:`_inverse_cdf`), its state built through the checked constructor."""
     weights = state.weights.copy()
     np.add.at(weights, _inverse_cdf(state.weights, rng.random(beta)), 1.0 / beta)
     return WeightState(weights, state.iteration + 1)
@@ -641,6 +664,29 @@ def test_distinct_symbol_law_at_sweep_size(mode, kernel, point, runs, first_seed
     assert p_value > DISTINCT_LAW_P_GATE, f"chi-square rejects {kernel.__name__} at {point}: p={p_value:.2e}"
 
 
+# The collision probability at the canonical beta row's smallest beta, which
+# no exact law test reaches: (alpha, beta, s, n), runs and first seed. The
+# runs are the rows of one multinomial-loop call, as a sweep draws them. Power,
+# measured on other seeds before these ran: without the frozen copy the
+# process is the Polya urn (alpha*beta, 1, s, n*beta), whose exact E[sum p^2]
+# is 0.845 against 0.0242, about +4200 SEs of the mean. Finer faults do not
+# show at this row.
+BETA_ROW_COLLISION = ((1e-3, 187, 64, 10_000), 40, 110_000)
+
+
+def test_collision_mean_at_the_beta_row():
+    """The rows' mean sum of p^2 matches the exact E[sum p^2]: Student's t, two-sided p > 0.01."""
+    point, runs, first_seed = BETA_ROW_COLLISION
+    params = ProcessParams(*point)
+    assert _kernel(params, "fast").run is _multinomial_rows and runs <= _kernel(params, "fast").max_rows
+    probs = _run_rows(_multinomial_rows, [params] * runs, streams(range(first_seed, first_seed + runs)))
+    collision = np.add.reduce(probs * probs, axis=1)
+    exact = collision_moments(*point)
+    t = (collision.mean() - exact) / (collision.std(ddof=1) / math.sqrt(runs))
+    p_value = 2 * scipy_stats.t.sf(abs(t), runs - 1)
+    assert p_value > 0.01, f"mean sum p^2 {collision.mean():.5f} against exact {exact:.5f}: t={t:+.2f}, p={p_value:.2e}"
+
+
 class RecordingStream:
     """A stream that logs the size of each of its ``random`` calls, which fill the buffer they are given."""
 
@@ -775,8 +821,8 @@ class TestScaleEquivalence:
         w_b = np.full(s, c * alpha / s)
         inc_a, inc_b = 1.0 / beta, c / beta
         for _ in range(n):
-            i_a = _inverse_cdf(w_a, rng_a.random(beta))
-            i_b = _inverse_cdf(w_b, rng_b.random(beta))
+            i_a = _draw(w_a.copy(), beta, rng_a)
+            i_b = _draw(w_b.copy(), beta, rng_b)
             assert i_a.tolist() == i_b.tolist()
             np.add.at(w_a, i_a, inc_a)
             np.add.at(w_b, i_b, inc_b)

@@ -4,7 +4,8 @@ The lumped-chain oracle is what the acceptance suite centres its canonical
 curve-shape windows on, so it is pinned here to the independent rational
 enumeration wherever that is feasible, and to its structural properties
 (n = 0 is uniform, s = 1 is degenerate, E[H] never rises with n) elsewhere.
-The law of the number of symbols hit is pinned to the same enumeration.
+The law of the number of symbols hit is pinned to the same enumeration, and
+the collision moments to the lumped chain.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    collision_moments,
     distinct_symbol_law,
     enumerate_outcome_distribution,
     expected_entropy_bits,
@@ -96,3 +98,11 @@ def test_distinct_symbol_law_matches_enumeration(s, beta, n):
     for counts, prob in enumerate_outcome_distribution(Fraction(2), beta, s, n).items():
         law[sum(c > 0 for c in counts)] += float(prob)
     assert np.max(np.abs(distinct_symbol_law(2.0, beta, s, n) - law)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, beta, s, n", [(0.3, 10, 64, 300), (1.0, 5, 64, 500), (2.0, 3, 3, 7), (0.5, 1, 8, 200)])
+def test_collision_moments_match_lumped_chain(alpha, beta, s, n):
+    # E[sum p**2] = s * E[q1**2], with q1 at hit count c equal to (alpha/s + c/beta)/(alpha + n)
+    c = np.arange(beta * n + 1)
+    exact = s * float(np.dot(hit_count_law(alpha, beta, s, n), ((alpha / s + c / beta) / (alpha + n)) ** 2))
+    assert collision_moments(alpha, beta, s, n) == pytest.approx(exact, rel=1e-12, abs=0)

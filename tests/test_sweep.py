@@ -46,6 +46,7 @@ from filex.sweep import (
     derive_run_seed,
     log_sweep,
     run_experiment,
+    sweep_axis,
 )
 
 
@@ -169,6 +170,13 @@ class TestExperimentSpec:
             ExperimentSpec(name="x", varied="n", sweep=SweepSpec(1, 1e20, 3, integral=True),
                            alpha=1e-300, beta=2, s=10**10)
 
+    @pytest.mark.parametrize("low, high, index", [(1e-310, 1e-300, 0), (1e-300, 1e-310, 2)], ids=["ascending", "descending"])
+    def test_alpha_axis_must_stay_finite(self, low, high, index):
+        # 1/alpha overflows to inf below about 5.6e-309, where ProcessParams still builds
+        ProcessParams(1e-310, 2, 3, 5)
+        with pytest.raises(InvalidParameterError, match=rf"^sweep point {index} \(alpha=1e-310\): 1/alpha must be positive and finite, got inf$"):
+            ExperimentSpec(name="tiny-alpha", varied="alpha", sweep=SweepSpec(low, high, 3), beta=2, s=3, n=5, master_seed=1)
+
     @given(
         varied=st.sampled_from(["alpha", "beta", "s", "n"]),
         low=st.floats(1e-310, 1e25),
@@ -187,8 +195,10 @@ class TestExperimentSpec:
             spec = ExperimentSpec(name="x", varied=varied, sweep=sweep_spec, alpha_coupled_to_s=coupled, **fixed)
         except InvalidParameterError:
             return
+        to_x = sweep_axis(varied)[1]
         for value in log_sweep(sweep_spec):
             spec.params_at(value)
+            assert 0.0 < to_x(value) < math.inf
 
     def test_coupling_only_when_varying_s(self):
         with pytest.raises(InvalidParameterError):
